@@ -2,10 +2,12 @@
 
 A session owns one TCP connection and is strictly single-owner: all
 operations run on the caller's thread, and writes hit the wire in call
-order. Two capture styles are offered: a fixed-rate callback loop with
-absolute-deadline scheduling (late ticks are skipped, never bunched) and
-an unrestricted tight poll loop that captures as fast as the server
-round-trips.
+order. Two capture styles share one loop: a fixed-rate callback loop
+paced by :class:`Pacer` and an unrestricted tight poll loop that captures
+as fast as the server round-trips.
+
+:class:`Pacer` is fbenv's only absolute-deadline scheduler; the timed
+environment and the server's wall-clock ticker use it too.
 """
 
 from __future__ import annotations
@@ -72,23 +74,49 @@ class CaptureStats:
     error: Exception | None = None
 
 
+class Pacer:
+    """Absolute-deadline scheduler for a fixed-rate loop.
+
+    The pacing rule: ticks fall on the grid ``start + k * period``, the
+    first at ``start``; a tick whose grid point has passed when the loop
+    waits for it is skipped; and no tick fires within half a period of the
+    previous one. A late loop loses ticks but never bunches them.
+
+    :meth:`wait` sleeps with this module's ``time.sleep``; given a ``stop``
+    event, it waits on that event instead, so setting it ends the wait.
+    """
+
+    def __init__(self, period: float, stop=None):
+        self.period = period
+        self.start = time.monotonic()
+        self._stop = stop
+        self._tick = 0
+        self._fired_at: float | None = None
+
+    def wait(self, end: float = math.inf) -> bool:
+        """Block until the next tick and fire it; False, without firing,
+        when its grid point is at or after ``end`` or stop is set."""
+        if self._fired_at is not None:
+            earliest = max(time.monotonic(), self._fired_at + self.period / 2.0)
+            self._tick = max(self._tick + 1, math.ceil((earliest - self.start) / self.period))
+        deadline = self.start + self._tick * self.period
+        if deadline >= end:
+            return False
+        delay = deadline - time.monotonic()
+        if self._stop is not None:
+            if self._stop.wait(max(delay, 0.0)):
+                return False
+        elif delay > 0:
+            time.sleep(delay)
+        self._fired_at = time.monotonic()
+        return True
+
+
 def _percentile(sorted_values: list[float], fraction: float) -> float:
     if not sorted_values:
         return 0.0
     index = min(len(sorted_values) - 1, int(fraction * len(sorted_values)))
     return sorted_values[index]
-
-
-def _make_stats(frames: int, wall: float, latencies: list[float], error=None) -> CaptureStats:
-    latencies = sorted(latencies)
-    return CaptureStats(
-        frames_delivered=frames,
-        wall_time=wall,
-        achieved_fps=frames / wall if wall > 0 else 0.0,
-        latency_p50_ms=_percentile(latencies, 0.50) * 1000.0,
-        latency_p99_ms=_percentile(latencies, 0.99) * 1000.0,
-        error=error,
-    )
 
 
 class Session:
@@ -255,35 +283,40 @@ class Session:
     def run_fixed_rate(self, fps: float, callback, duration: float | None = None, stop=None) -> CaptureStats:
         """Capture method 1: invoke ``callback(frame, index)`` at a fixed rate.
 
-        Ticks run on absolute deadlines (start + k/fps); a missed tick is
-        skipped so callbacks are never bunched closer than half a period.
-        Runs until ``duration`` elapses or ``stop`` (a threading.Event) is
-        set. A callback exception or lost connection ends the run and is
-        surfaced in the stats. Callbacks run on the caller's thread and
-        should finish within one frame period or ticks will be skipped.
+        Ticks follow the :class:`Pacer` rule at ``1/fps``: late ticks are
+        skipped, never bunched. Runs until ``duration`` elapses or ``stop``
+        (a threading.Event) is set. A callback exception or lost connection
+        ends the run and is surfaced in the stats. Callbacks run on the
+        caller's thread and should finish within one frame period or ticks
+        will be skipped.
         """
         self._require_ready()
         if not (isinstance(fps, (int, float)) and 1.0 <= fps <= 1000.0):
             raise ValueError(f"fps must be within 1..1000, got {fps}")
+        return self._capture(callback, duration, stop, Pacer(1.0 / fps, stop))
+
+    def run_unrestricted(self, callback, duration: float, stop=None) -> CaptureStats:
+        """Capture method 2: poll as fast as the server round-trips."""
+        self._require_ready()
+        return self._capture(callback, duration, stop, None)
+
+    def _capture(self, callback, duration: float | None, stop, pacer: Pacer | None) -> CaptureStats:
+        """Poll, time the poll and hand the frame to ``callback`` until
+        ``duration`` ends, ``stop`` is set or a step raises; each frame
+        waits for ``pacer``'s next tick when one is given."""
         if duration is not None and duration < 0:
             raise ValueError("duration must be non-negative")
-        period = 1.0 / fps
-        start = time.monotonic()
+        start = time.monotonic() if pacer is None else pacer.start
         end = math.inf if duration is None else start + duration
         frames = 0
         latencies: list[float] = []
         error: Exception | None = None
-        tick = 0
-        while True:
-            if stop is not None and stop.is_set():
+        while not (stop is not None and stop.is_set()):
+            if pacer is None:
+                if time.monotonic() >= end:
+                    break
+            elif not pacer.wait(end):
                 break
-            deadline = start + tick * period
-            if deadline >= end:
-                break
-            now = time.monotonic()
-            if now < deadline:
-                time.sleep(deadline - now)
-            fired_at = time.monotonic()
             try:
                 poll_started = time.monotonic()
                 frame = self.poll_frame()
@@ -293,34 +326,16 @@ class Session:
                 error = exc
                 break
             frames += 1
-            finished = time.monotonic()
-            earliest = max(finished, fired_at + period / 2.0)
-            tick = max(tick + 1, math.ceil((earliest - start) / period))
-        return _make_stats(frames, time.monotonic() - start, latencies, error)
-
-    def run_unrestricted(self, callback, duration: float, stop=None) -> CaptureStats:
-        """Capture method 2: poll as fast as the server round-trips."""
-        self._require_ready()
-        if duration < 0:
-            raise ValueError("duration must be non-negative")
-        start = time.monotonic()
-        end = start + duration
-        frames = 0
-        latencies: list[float] = []
-        error: Exception | None = None
-        while time.monotonic() < end:
-            if stop is not None and stop.is_set():
-                break
-            try:
-                poll_started = time.monotonic()
-                frame = self.poll_frame()
-                latencies.append(time.monotonic() - poll_started)
-                callback(frame, frames)
-            except Exception as exc:
-                error = exc
-                break
-            frames += 1
-        return _make_stats(frames, time.monotonic() - start, latencies, error)
+        wall = time.monotonic() - start
+        latencies.sort()
+        return CaptureStats(
+            frames_delivered=frames,
+            wall_time=wall,
+            achieved_fps=frames / wall if wall > 0 else 0.0,
+            latency_p50_ms=_percentile(latencies, 0.50) * 1000.0,
+            latency_p99_ms=_percentile(latencies, 0.99) * 1000.0,
+            error=error,
+        )
 
     # -- input ----------------------------------------------------------
 

@@ -10,7 +10,8 @@ Actions latch: each step sends key-down for its direction and key-up for
 the previously held one, so exactly one directional key is ever held.
 In lockstep mode a step is exactly one game tick and trajectories are
 independent of wall-clock speed; in timed mode steps are paced to the
-configured tick rate with absolute deadlines.
+configured tick rate by :class:`fbenv.client.Pacer`, whose grid restarts
+at each reset.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .client import Session, connect
+from .client import Pacer, Session, connect
 from .errors import InvalidStateError, ResetTimeoutError
 from .framebuffer import GrayFrame, crop, downsample, pixel_rgb
 from .keys import KEY_LEFT, KEY_RIGHT, KEY_SPACE
@@ -100,7 +101,7 @@ class Env:
         self._step_index = 0
         self._episode_over = False
         self._held: int | None = None
-        self._next_deadline: float | None = None
+        self._pacer = Pacer(1.0 / config.tick_rate)
         self._last_observation = self._observe()
 
     def _validate_geometry(self) -> None:
@@ -163,7 +164,8 @@ class Env:
             time.sleep(0.01)
         self._step_index = 0
         self._episode_over = False
-        self._next_deadline = time.monotonic() + 1.0 / self.config.tick_rate
+        self._pacer = Pacer(1.0 / self.config.tick_rate)
+        self._pacer.wait()  # the reset frame takes the first tick
         self._last_observation = self._observe()
         return self._last_observation
 
@@ -180,10 +182,9 @@ class Env:
             if keysym is not None:
                 self.session.send_key(keysym, True)
             self._held = keysym
-        if self.config.lockstep:
-            self.session.poll()
-        else:
-            self._pace()
+        if not self.config.lockstep:
+            self._pacer.wait()
+        self.session.poll()
         terminal = self._probe_terminal()
         self._step_index += 1
         truncated = not terminal and self._step_index >= self.config.max_episode_steps
@@ -191,19 +192,6 @@ class Env:
         self._episode_over = terminal or truncated
         self._last_observation = self._observe()
         return StepResult(self._last_observation, reward, self._episode_over, truncated)
-
-    def _pace(self) -> None:
-        period = 1.0 / self.config.tick_rate
-        now = time.monotonic()
-        if self._next_deadline is None:
-            self._next_deadline = now
-        delay = self._next_deadline - now
-        if delay > 0:
-            time.sleep(delay)
-        self.session.poll()
-        self._next_deadline += period
-        if self._next_deadline < time.monotonic():
-            self._next_deadline = time.monotonic() + period
 
     def run_episode(self, policy: Callable[[Observation], int]) -> tuple[float, list[Transition]]:
         """Reset, then follow ``policy`` until the episode ends.

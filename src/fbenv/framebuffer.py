@@ -81,25 +81,34 @@ class Framebuffer:
         return np.frombuffer(self.pixels, dtype=np.uint8).reshape(self.height, self.width, bpp)
 
 
+def _check_rectangle(fb: Framebuffer, rect: Rectangle, pixel_bytes: bytes) -> None:
+    """Reject a rectangle that leaves the framebuffer or whose payload is
+    not exactly its pixels in the framebuffer's format."""
+    if rect.x < 0 or rect.y < 0 or rect.x + rect.width > fb.width or rect.y + rect.height > fb.height:
+        raise UpdateRejectedError(
+            f"rectangle ({rect.x},{rect.y},{rect.width},{rect.height}) "
+            f"exceeds {fb.width}x{fb.height} bounds"
+        )
+    expected = rect.width * rect.height * fb.format.bytes_per_pixel
+    if len(pixel_bytes) != expected:
+        raise UpdateRejectedError(f"payload is {len(pixel_bytes)} bytes, expected {expected}")
+
+
+def _write_rectangle(fb: Framebuffer, rect: Rectangle, pixel_bytes: bytes) -> None:
+    """Copy a rectangle already passed by :func:`_check_rectangle`."""
+    bpp = fb.format.bytes_per_pixel
+    src = np.frombuffer(pixel_bytes, dtype=np.uint8).reshape(rect.height, rect.width, bpp)
+    fb.as_array()[rect.y : rect.y + rect.height, rect.x : rect.x + rect.width] = src
+
+
 def apply_rectangle(fb: Framebuffer, rect: Rectangle, pixel_bytes: bytes) -> Framebuffer:
     """Overwrite exactly the rectangle's rows with ``pixel_bytes``.
 
     Validates bounds and payload length before touching anything, so a
     rejected update leaves the framebuffer bit-identical.
     """
-    bpp = fb.format.bytes_per_pixel
-    if rect.x < 0 or rect.y < 0 or rect.x + rect.width > fb.width or rect.y + rect.height > fb.height:
-        raise UpdateRejectedError(
-            f"rectangle ({rect.x},{rect.y},{rect.width},{rect.height}) "
-            f"exceeds {fb.width}x{fb.height} bounds"
-        )
-    expected = rect.width * rect.height * bpp
-    if len(pixel_bytes) != expected:
-        raise UpdateRejectedError(f"payload is {len(pixel_bytes)} bytes, expected {expected}")
-    if expected == 0:
-        return fb
-    src = np.frombuffer(pixel_bytes, dtype=np.uint8).reshape(rect.height, rect.width, bpp)
-    fb.as_array()[rect.y : rect.y + rect.height, rect.x : rect.x + rect.width] = src
+    _check_rectangle(fb, rect, pixel_bytes)
+    _write_rectangle(fb, rect, pixel_bytes)
     return fb
 
 
@@ -109,17 +118,10 @@ def apply_update(fb: Framebuffer, update: FramebufferUpdate) -> Framebuffer:
     All rectangles are validated up front so a malformed message leaves
     both the pixels and the generation untouched.
     """
-    bpp = fb.format.bytes_per_pixel
     for rect, payload in update.rectangles:
-        if rect.x + rect.width > fb.width or rect.y + rect.height > fb.height:
-            raise UpdateRejectedError(
-                f"rectangle ({rect.x},{rect.y},{rect.width},{rect.height}) "
-                f"exceeds {fb.width}x{fb.height} bounds"
-            )
-        if len(payload) != rect.width * rect.height * bpp:
-            raise UpdateRejectedError("rectangle payload length mismatch")
+        _check_rectangle(fb, rect, payload)
     for rect, payload in update.rectangles:
-        apply_rectangle(fb, rect, payload)
+        _write_rectangle(fb, rect, payload)
     fb.generation += 1
     return fb
 

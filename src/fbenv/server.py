@@ -5,9 +5,9 @@ regions as one raw rectangle, or an empty update when nothing changed,
 so clients can poll at snapshot rate. Held arrow keys steer the paddle
 (LEFT -> tilt -1, RIGHT -> +1), and a space press starts a fresh episode
 from any state. Two clocks are supported: a wall-clock ticker at a
-configured rate, and lockstep mode where each incremental update request
-advances the game exactly one tick (non-incremental requests never tick;
-they just resync).
+configured rate, paced by :class:`fbenv.client.Pacer`, and lockstep mode
+where each incremental update request advances the game exactly one tick
+(non-incremental requests never tick; they just resync).
 
 A diagnostic side channel on a second TCP port answers the line "HASH"
 with the FNV-1a hash of the framebuffer as of the last update sent plus
@@ -21,12 +21,12 @@ from __future__ import annotations
 import socket
 import struct
 import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import game
+from .client import Pacer
 from .fnv import fnv1a64
 from .keys import KEY_LEFT, KEY_RIGHT, KEY_SPACE
 from .wire import (
@@ -193,19 +193,11 @@ class MockServer:
     # -- ticker (timed mode) ---------------------------------------------
 
     def _ticker_loop(self) -> None:
-        period = 1.0 / self.config.tick_rate
-        next_tick = time.monotonic() + period
-        while not self._stop.is_set():
-            delay = next_tick - time.monotonic()
-            if delay > 0:
-                if self._stop.wait(delay):
-                    return
+        pacer = Pacer(1.0 / self.config.tick_rate, self._stop)
+        pacer.wait()  # the first grid tick is the frame rendered at start-up
+        while pacer.wait():
             with self._lock:
                 self._advance_tick()
-            next_tick += period
-            now = time.monotonic()
-            if next_tick < now:  # fell behind; skip missed ticks
-                next_tick = now + period
 
     # -- RFB connection handling -----------------------------------------
 

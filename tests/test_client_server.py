@@ -8,7 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from fbenv.client import SessionState, connect
+import fbenv.client
+from fbenv.client import Pacer, SessionState, connect
 from fbenv.errors import (
     ConnectionLostError,
     HandshakeRefusedError,
@@ -248,6 +249,71 @@ def test_send_pointer_bounds(session_factory):
         session.send_pointer(session.width, 0, 0)
     with pytest.raises(ValueError):
         session.send_pointer(0, -1, 0)
+
+
+def test_server_stop_does_not_wait_out_a_tick(server_factory):
+    server = server_factory(tick_rate=1.0)
+    time.sleep(0.05)  # the ticker is now waiting on its next one-second tick
+    started = time.monotonic()
+    server.stop()
+    assert time.monotonic() - started < 0.5
+    assert not any(thread.is_alive() for thread in server._threads)
+
+
+# -- pacer -------------------------------------------------------------------
+
+
+class FakeClock:
+    """Stands in for fbenv.client's ``time``; a sleep lands exactly."""
+
+    def __init__(self):
+        self.now = 100.0
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.now += seconds
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = FakeClock()
+    monkeypatch.setattr(fbenv.client, "time", fake)
+    return fake
+
+
+def test_pacer_ticks_fall_on_the_grid(clock):
+    pacer = Pacer(0.1)
+    fired = []
+    while pacer.wait(end=100.45):
+        fired.append(clock.now)
+        clock.now += 0.03  # work shorter than a period
+    assert fired == pytest.approx([100.0, 100.1, 100.2, 100.3, 100.4])
+
+
+def test_pacer_skips_passed_ticks_and_keeps_half_a_period(clock):
+    pacer = Pacer(0.1)
+    clock.now += 0.08  # tick 0 fires late, 0.02 before tick 1's grid point
+    assert pacer.wait()
+    assert pacer.wait()
+    assert clock.now == pytest.approx(100.2)  # not 100.1: too close to the last tick
+    clock.now += 0.13  # overrun past tick 3's grid point
+    assert pacer.wait()
+    assert clock.now == pytest.approx(100.4)
+
+
+def test_pacer_stop_event_ends_a_wait_early():
+    stop = threading.Event()
+    pacer = Pacer(10.0, stop)
+    assert pacer.wait()  # the first tick fires at once
+    setter = threading.Timer(0.05, stop.set)
+    setter.start()
+    started = time.monotonic()
+    assert not pacer.wait()
+    assert time.monotonic() - started < 1.0
+    setter.join(timeout=5.0)
+    assert not setter.is_alive()
 
 
 # -- capture loops -----------------------------------------------------------

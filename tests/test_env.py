@@ -213,6 +213,20 @@ def test_timed_mode_paces_steps(env_factory):
     assert 0.4 <= elapsed <= 0.8  # 15 steps at 30 Hz is half a second
 
 
+def test_timed_steps_never_bunch_after_a_policy_stall(env_factory):
+    env, _ = env_factory(
+        server_kwargs={"tick_rate": 20.0, "seed": 31}, lockstep=False, tick_rate=20.0
+    )
+    period = 1.0 / 20.0
+    env.reset()
+    env.step(NOOP_ACTION)
+    time.sleep(1.8 * period)  # the policy overruns the next tick
+    env.step(NOOP_ACTION)
+    stepped = time.monotonic()
+    env.step(NOOP_ACTION)
+    assert time.monotonic() - stepped >= 0.5 * period
+
+
 # -- config files ------------------------------------------------------------
 
 

@@ -100,17 +100,17 @@ def test_apply_update_bumps_generation_per_message():
 
 
 def test_apply_update_is_atomic():
-    fb = Framebuffer.blank(4, 4, RGBX32)
-    bad = FramebufferUpdate(
-        (
-            (Rectangle(0, 0, 1, 1), b"\x01" * 4),
-            (Rectangle(3, 3, 2, 2), b"\x02" * 16),
-        )
+    bad_rectangles = (
+        (Rectangle(3, 3, 2, 2), b"\x02" * 16),  # past the right and bottom edges
+        (Rectangle(-1, 0, 1, 1), b"\x02" * 4),  # negative x
     )
-    with pytest.raises(UpdateRejectedError):
-        apply_update(fb, bad)
-    assert bytes(fb.pixels) == bytes(64)
-    assert fb.generation == 0
+    for bad_rectangle in bad_rectangles:
+        fb = Framebuffer.blank(4, 4, RGBX32)
+        bad = FramebufferUpdate(((Rectangle(0, 0, 1, 1), b"\x01" * 4), bad_rectangle))
+        with pytest.raises(UpdateRejectedError):
+            apply_update(fb, bad)
+        assert bytes(fb.pixels) == bytes(64)
+        assert fb.generation == 0
 
 
 # -- grayscale ---------------------------------------------------------------
