@@ -29,14 +29,12 @@ from .framebuffer import Framebuffer, GrayFrame, apply_update, to_grayscale
 from .wire import (
     ENCODING_RAW,
     RGBX32,
-    Bell,
     FramebufferUpdate,
     FramebufferUpdateRequest,
     KeyEvent,
     PixelFormat,
     PointerEvent,
     Rectangle,
-    ServerCutText,
     ServerInit,
     SetEncodings,
     SetPixelFormat,
@@ -48,7 +46,8 @@ from .wire import (
 DEFAULT_CONNECT_TIMEOUT = 5.0
 
 #: How long poll_frame waits for the server before returning the cached
-#: frame; bounds worst-case step latency.
+#: frame; bounds worst-case step latency in timed mode. A lockstep Env
+#: waits DEFAULT_CONNECT_TIMEOUT instead and raises, never reusing a frame.
 POLL_DEADLINE = 0.1
 
 
@@ -129,8 +128,6 @@ class Session:
         self.framebuffer = Framebuffer.blank(server_init.width, server_init.height, fmt)
         self.state = SessionState.CONNECTING
         self._buffer = bytearray()
-        self.bells_received = 0
-        self.cut_texts: list[str] = []
 
     @property
     def width(self) -> int:
@@ -204,14 +201,11 @@ class Session:
         return message
 
     def _handle(self, message) -> bool:
-        """Track side messages; True when it was a framebuffer update."""
+        """Apply a framebuffer update and return True; side messages
+        (Bell, ServerCutText) are dropped."""
         if isinstance(message, FramebufferUpdate):
             apply_update(self.framebuffer, message)
             return True
-        if isinstance(message, Bell):
-            self.bells_received += 1
-        elif isinstance(message, ServerCutText):
-            self.cut_texts.append(message.text)
         return False
 
     def _pump_until_update(self, deadline: float) -> bool:

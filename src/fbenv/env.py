@@ -9,7 +9,10 @@ a second survived is worth one point at the standard tick rate).
 Actions latch: each step sends key-down for its direction and key-up for
 the previously held one, so exactly one directional key is ever held.
 In lockstep mode a step is exactly one game tick and trajectories are
-independent of wall-clock speed; in timed mode steps are paced to the
+independent of wall-clock speed: a step waits up to
+``DEFAULT_CONNECT_TIMEOUT`` for its update and raises
+:class:`~fbenv.errors.ConnectionLostError` if none comes, rather than
+reuse the cached frame. In timed mode steps are paced to the
 configured tick rate by :class:`fbenv.client.Pacer`, whose grid restarts
 at each reset.
 """
@@ -20,8 +23,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .client import Pacer, Session, connect
-from .errors import InvalidStateError, ResetTimeoutError
+from .client import DEFAULT_CONNECT_TIMEOUT, Pacer, Session, connect
+from .errors import ConnectionLostError, InvalidStateError, ResetTimeoutError
 from .framebuffer import GrayFrame, crop, downsample, pixel_rgb
 from .keys import KEY_LEFT, KEY_RIGHT, KEY_SPACE
 
@@ -182,9 +185,12 @@ class Env:
             if keysym is not None:
                 self.session.send_key(keysym, True)
             self._held = keysym
-        if not self.config.lockstep:
+        if self.config.lockstep:
+            if not self.session.poll(DEFAULT_CONNECT_TIMEOUT):
+                raise ConnectionLostError(f"no lockstep update within {DEFAULT_CONNECT_TIMEOUT:g} s")
+        else:
             self._pacer.wait()
-        self.session.poll()
+            self.session.poll()
         terminal = self._probe_terminal()
         self._step_index += 1
         truncated = not terminal and self._step_index >= self.config.max_episode_steps

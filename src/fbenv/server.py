@@ -14,6 +14,13 @@ with the FNV-1a hash of the framebuffer as of the last update sent plus
 the update count, letting tests verify client/server pixel fidelity
 without touching the RFB stream. One RFB client is served at a time; a
 protocol violation drops that client and the server keeps listening.
+
+Sockets block, and :meth:`MockServer.stop` wakes them: it shuts down both
+listeners and every open connection, which makes a blocked ``accept()``
+raise and a blocked ``recv()`` return ``b""``, so every thread sees the
+stop at once. The only timeouts bound a stalled peer: a handshake that
+stalls for STALL_TIMEOUT seconds, or a send that does, drops the client.
+A connected client that sends nothing is kept.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ from .wire import (
 from .errors import FbenvError, IncompleteMessageError
 
 SERVER_NAME = "multitask-lite"
+STALL_TIMEOUT = 10  # seconds a stalled peer may hold a connection
 
 
 @dataclass
@@ -74,7 +82,7 @@ class MockServer:
         self._threads: list[threading.Thread] = []
         self._listener: socket.socket | None = None
         self._side_listener: socket.socket | None = None
-        self._active_conn: socket.socket | None = None
+        self._conns: set[socket.socket] = set()  # open connections, under the lock
         self._episode = 0
         self._game = game.new_game(game.episode_seed(self.config.seed, 0))
         self._format = RGBX32
@@ -89,28 +97,29 @@ class MockServer:
     def start(self) -> "MockServer":
         self._listener = self._bind(self.config.port)
         self._side_listener = self._bind(self.config.side_channel_port)
-        self._spawn(self._accept_loop, "fbenv-server-accept")
-        self._spawn(self._side_channel_loop, "fbenv-server-hash")
+        self._spawn(self._serve_port, "fbenv-server-accept", self._listener, self._serve_client)
+        self._spawn(self._serve_port, "fbenv-server-hash", self._side_listener, self._serve_side_channel)
         if not self.config.lockstep:
             self._spawn(self._ticker_loop, "fbenv-server-ticker")
         return self
 
     def stop(self) -> None:
+        """Wake every blocked socket by shutting it down, then join the
+        threads and close the listeners."""
         self._stop.set()
-        for listener in (self._listener, self._side_listener):
-            if listener is not None:
+        with self._lock:
+            sockets = [self._listener, self._side_listener, *self._conns]
+        for sock in sockets:
+            if sock is not None:
                 try:
-                    listener.close()
+                    sock.shutdown(socket.SHUT_RDWR)
                 except OSError:
-                    pass
-        conn = self._active_conn
-        if conn is not None:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
+                    pass  # already closed
         for thread in self._threads:
             thread.join(timeout=5.0)
+        for listener in (self._listener, self._side_listener):
+            if listener is not None:
+                listener.close()
 
     def __enter__(self):
         return self
@@ -131,25 +140,36 @@ class MockServer:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.config.host, port))
         listener.listen(1)
-        listener.settimeout(0.25)  # keep accept loops responsive to stop()
         return listener
 
-    def _accept(self, listener: socket.socket) -> socket.socket | None:
-        """Next connection, or None once the server is stopping."""
-        while not self._stop.is_set():
-            try:
-                conn, _ = listener.accept()
-                return conn
-            except (TimeoutError, socket.timeout):
-                continue
-            except OSError:
-                return None
-        return None
-
-    def _spawn(self, target, name: str) -> None:
-        thread = threading.Thread(target=target, name=name, daemon=True)
+    def _spawn(self, target, name: str, *args) -> None:
+        thread = threading.Thread(target=target, args=args, name=name, daemon=True)
         thread.start()
         self._threads.append(thread)
+
+    def _serve_port(self, listener: socket.socket, handler) -> None:
+        """Serve one connection at a time with ``handler`` until stop()
+        shuts ``listener`` down; an error drops only that connection."""
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return
+            # registered before the stop check, so stop() either shuts this
+            # connection down or has already set the flag checked here
+            with self._lock:
+                self._conns.add(conn)
+            try:
+                if not self._stop.is_set():
+                    timeval = struct.pack("ll", STALL_TIMEOUT, 0)
+                    conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+                    handler(conn)
+            except (OSError, FbenvError, ValueError):
+                pass  # drop this client, keep listening
+            finally:
+                with self._lock:
+                    self._conns.discard(conn)
+                conn.close()
 
     # -- game state (all callers hold the lock) -------------------------
 
@@ -201,26 +221,9 @@ class MockServer:
 
     # -- RFB connection handling -----------------------------------------
 
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            conn = self._accept(self._listener)
-            if conn is None:
-                return
-            self._active_conn = conn
-            try:
-                self._serve_client(conn)
-            except (OSError, FbenvError, ValueError):
-                pass  # drop this client, keep listening
-            finally:
-                self._active_conn = None
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-
     def _serve_client(self, conn: socket.socket) -> None:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn.settimeout(10.0)
+        conn.settimeout(STALL_TIMEOUT)
         if not self._handshake(conn):
             return
         with self._lock:
@@ -230,15 +233,12 @@ class MockServer:
             self._dirty = True
             self._generation = 0
         buffer = bytearray()
-        conn.settimeout(0.25)
-        while not self._stop.is_set():
+        conn.settimeout(None)  # an idle client is kept; SO_SNDTIMEO bounds sends
+        while True:
             try:
                 message, consumed = decode_client_message(buffer)
             except IncompleteMessageError:
-                try:
-                    chunk = conn.recv(65536)
-                except (TimeoutError, socket.timeout):
-                    continue
+                chunk = conn.recv(65536)
                 if not chunk:
                     return
                 buffer.extend(chunk)
@@ -339,39 +339,17 @@ class MockServer:
 
     # -- diagnostic side channel ------------------------------------------
 
-    def _side_channel_loop(self) -> None:
-        while not self._stop.is_set():
-            conn = self._accept(self._side_listener)
-            if conn is None:
-                return
-            try:
-                self._serve_side_channel(conn)
-            except OSError:
-                pass
-            finally:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-
     def _serve_side_channel(self, conn: socket.socket) -> None:
-        conn.settimeout(0.25)
         pending = b""
-        while not self._stop.is_set():
-            try:
-                chunk = conn.recv(4096)
-            except (TimeoutError, socket.timeout):
-                continue
-            if not chunk:
-                return
+        while chunk := conn.recv(4096):
             pending += chunk
             while b"\n" in pending:
                 line, pending = pending.split(b"\n", 1)
                 if line.strip() == b"HASH":
-                    with self._lock:
-                        digest = fnv1a64(self._mirror.tobytes())
+                    with self._lock:  # hash a copy, so the game never waits on FNV
+                        mirror = self._mirror.tobytes()
                         generation = self._generation
-                    conn.sendall(f"{digest:016x} {generation}\n".encode("ascii"))
+                    conn.sendall(f"{fnv1a64(mirror):016x} {generation}\n".encode("ascii"))
                 else:
                     conn.sendall(b"ERR unknown command\n")
 

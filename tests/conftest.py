@@ -12,7 +12,8 @@ from fbenv.server import MockServer, ServerConfig
 
 @pytest.fixture
 def server_factory():
-    """Start throwaway servers on free ports; all stopped on teardown."""
+    """Start throwaway servers on free ports; all stopped on teardown,
+    which fails if a server thread outlives stop()."""
     servers = []
 
     def factory(**kwargs) -> MockServer:
@@ -24,6 +25,8 @@ def server_factory():
     yield factory
     for server in servers:
         server.stop()
+    for server in servers:
+        assert not [thread.name for thread in server._threads if thread.is_alive()]
 
 
 @pytest.fixture

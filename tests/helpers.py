@@ -204,11 +204,13 @@ def handshake_script(
 
 class RecordingServer:
     """Real-socket RFB 3.8 stub: full handshake, empty updates, and a
-    byte-exact record of everything the client wrote after the handshake."""
+    byte-exact record of everything the client wrote after the handshake.
+    ``before_update`` is sent ahead of every update."""
 
-    def __init__(self, width: int = 64, height: int = 48):
+    def __init__(self, width: int = 64, height: int = 48, before_update: bytes = b""):
         self.width = width
         self.height = height
+        self.before_update = before_update
         self.raw = bytearray()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.bind(("127.0.0.1", 0))
@@ -265,7 +267,7 @@ class RecordingServer:
                 body = self._read_exact(conn, lengths[kind] - 1)
                 self.raw.extend(first + body)
                 if kind == 3:
-                    conn.sendall(struct.pack(">BxH", 0, 0))  # empty update
+                    conn.sendall(self.before_update + struct.pack(">BxH", 0, 0))  # empty update
 
     @staticmethod
     def _read_exact(conn, count: int) -> bytes:

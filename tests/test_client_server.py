@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import fbenv.client
-from fbenv.client import Pacer, SessionState, connect
+import fbenv.server
+from fbenv.client import DEFAULT_CONNECT_TIMEOUT, Pacer, SessionState, connect
 from fbenv.errors import (
     ConnectionLostError,
     HandshakeRefusedError,
@@ -260,6 +261,22 @@ def test_server_stop_does_not_wait_out_a_tick(server_factory):
     assert not any(thread.is_alive() for thread in server._threads)
 
 
+def test_server_stop_wakes_open_connections_at_once(server_factory):
+    for server in (server_factory(lockstep=True), server_factory(tick_rate=30.0)):
+        session = connect("127.0.0.1", server.port)
+        side = socket.create_connection(("127.0.0.1", server.side_channel_port), timeout=5.0)
+        side.sendall(b"HASH\n")
+        assert side.recv(64).endswith(b"\n")
+        time.sleep(0.05)  # both connections' threads are now blocked in recv
+        started = time.monotonic()
+        server.stop()
+        elapsed = time.monotonic() - started
+        side.close()
+        session.close()
+        assert elapsed < 0.1
+        assert not any(thread.is_alive() for thread in server._threads)
+
+
 # -- pacer -------------------------------------------------------------------
 
 
@@ -397,6 +414,21 @@ def test_server_death_mid_run_surfaces_in_stats(server_factory):
     session.close()
 
 
+def test_side_messages_do_not_count_as_updates():
+    text = b"clipboard"
+    bell_and_cut_text = b"\x02" + struct.pack(">B3xI", 3, len(text)) + text
+    recorder = RecordingServer(before_update=bell_and_cut_text).start()
+    try:
+        session = connect("127.0.0.1", recorder.port)
+        assert session.frame_counter == 1
+        for expected in range(2, 12):
+            assert session.poll(DEFAULT_CONNECT_TIMEOUT)
+            assert session.frame_counter == expected
+        session.close()
+    finally:
+        recorder.stop()
+
+
 # -- pixel fidelity ----------------------------------------------------------
 
 
@@ -419,3 +451,26 @@ def test_client_buffer_matches_server_hash_over_random_play(session_factory):
             digest, generation = side_channel_hash(server.side_channel_port)
             assert generation == session.frame_counter
             assert digest == fnv1a64(bytes(session.framebuffer.pixels))
+
+
+def test_hash_query_does_not_hold_the_game_lock(session_factory, monkeypatch):
+    session, server = session_factory(lockstep=True, seed=11)
+    hashing = threading.Event()
+
+    def slow_fnv1a64(data):
+        hashing.set()
+        time.sleep(0.5)
+        return fnv1a64(data)
+
+    monkeypatch.setattr(fbenv.server, "fnv1a64", slow_fnv1a64)
+    query = threading.Thread(target=side_channel_hash, args=(server.side_channel_port,))
+    query.start()
+    try:
+        assert hashing.wait(5.0)
+        started = time.monotonic()
+        assert session.poll(DEFAULT_CONNECT_TIMEOUT)
+        elapsed = time.monotonic() - started
+    finally:
+        query.join(timeout=5.0)
+    assert not query.is_alive()
+    assert elapsed < 0.25

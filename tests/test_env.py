@@ -1,13 +1,16 @@
 """Environment facade tests: reset/step semantics, probe, config files."""
 
+import itertools
 import time
 
 import numpy as np
 import pytest
 
+import fbenv.env
 from fbenv.env import EnvConfig, load_env_config, make_env, save_env_config
-from fbenv.errors import InvalidStateError
+from fbenv.errors import ConnectionLostError, InvalidStateError
 from fbenv.keys import KEY_LEFT, KEY_RIGHT
+from fbenv.server import MockServer
 
 from helpers import oracle_start_position, oracle_survival_ticks
 
@@ -188,6 +191,42 @@ def test_lockstep_trajectory_is_wall_clock_independent(server_factory):
         return frames
 
     assert run(0.0) == run(0.02)
+
+
+def test_lockstep_waits_out_a_slow_server(server_factory, monkeypatch):
+    def noop_episode_frames():
+        server = server_factory(lockstep=True, seed=11)
+        with make_env(EnvConfig(port=server.port, lockstep=True)) as env:
+            _, transitions = env.run_episode(lambda obs: NOOP_ACTION)
+        return [t.next_state.frame.tobytes() for t in transitions]
+
+    expected = noop_episode_frames()
+    original = MockServer._update_payload
+    calls = itertools.count()
+
+    def stall_once(self, incremental):
+        # late in the episode: early frames move too little for a lag to show
+        if next(calls) == 60:
+            time.sleep(0.15)  # longer than the client's POLL_DEADLINE
+        return original(self, incremental)
+
+    monkeypatch.setattr(MockServer, "_update_payload", stall_once)
+    assert noop_episode_frames() == expected
+
+
+def test_lockstep_step_raises_when_no_update_comes(env_factory, monkeypatch):
+    env, _ = env_factory(lockstep=True)
+    env.reset()
+    original = MockServer._update_payload
+
+    def stall(self, incremental):
+        time.sleep(0.5)
+        return original(self, incremental)
+
+    monkeypatch.setattr(fbenv.env, "DEFAULT_CONNECT_TIMEOUT", 0.2)
+    monkeypatch.setattr(MockServer, "_update_payload", stall)
+    with pytest.raises(ConnectionLostError):
+        env.step(NOOP_ACTION)
 
 
 def test_action_latching_holds_one_key(env_factory):
