@@ -77,9 +77,12 @@ class Pacer:
     """Absolute-deadline scheduler for a fixed-rate loop.
 
     The pacing rule: ticks fall on the grid ``start + k * period``, the
-    first at ``start``; a tick whose grid point has passed when the loop
-    waits for it is skipped; and no tick fires within half a period of the
-    previous one. A late loop loses ticks but never bunches them.
+    first at ``start``. The next tick is the one whose grid point is
+    nearest to when the loop waits for it, and at least the one after the
+    last; the ticks between are skipped. A tick fires at its grid point,
+    but no sooner than half a period after the previous tick. So a loop
+    that falls behind loses ticks, a sleep that wakes late costs none, and
+    ticks never bunch.
 
     :meth:`wait` sleeps with this module's ``time.sleep``; given a ``stop``
     event, it waits on that event instead, so setting it ends the wait.
@@ -95,11 +98,12 @@ class Pacer:
     def wait(self, end: float = math.inf) -> bool:
         """Block until the next tick and fire it; False, without firing,
         when its grid point is at or after ``end`` or stop is set."""
+        deadline = self.start
         if self._fired_at is not None:
-            earliest = max(time.monotonic(), self._fired_at + self.period / 2.0)
-            self._tick = max(self._tick + 1, math.ceil((earliest - self.start) / self.period))
-        deadline = self.start + self._tick * self.period
-        if deadline >= end:
+            nearest = math.floor((time.monotonic() - self.start) / self.period + 0.5)
+            self._tick = max(self._tick + 1, nearest)
+            deadline = max(self.start + self._tick * self.period, self._fired_at + self.period / 2.0)
+        if self.start + self._tick * self.period >= end:
             return False
         delay = deadline - time.monotonic()
         if self._stop is not None:
@@ -277,10 +281,10 @@ class Session:
     def run_fixed_rate(self, fps: float, callback, duration: float | None = None, stop=None) -> CaptureStats:
         """Capture method 1: invoke ``callback(frame, index)`` at a fixed rate.
 
-        Ticks follow the :class:`Pacer` rule at ``1/fps``: late ticks are
-        skipped, never bunched. Runs until ``duration`` elapses or ``stop``
-        (a threading.Event) is set. A callback exception or lost connection
-        ends the run and is surfaced in the stats. Callbacks run on the
+        Ticks follow the :class:`Pacer` rule at ``1/fps``: ticks the loop
+        falls behind are skipped, never bunched. Runs until ``duration``
+        elapses or ``stop`` (a threading.Event) is set. A callback exception
+        or lost connection ends the run and is surfaced in the stats. Callbacks run on the
         caller's thread and should finish within one frame period or ticks
         will be skipped.
         """

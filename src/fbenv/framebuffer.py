@@ -80,6 +80,21 @@ class Framebuffer:
         bpp = self.format.bytes_per_pixel
         return np.frombuffer(self.pixels, dtype=np.uint8).reshape(self.height, self.width, bpp)
 
+    def as_words(self) -> np.ndarray:
+        """Writable (height, width) view of the pixels, one word each, in
+        the format's :func:`word_dtype`."""
+        words = np.frombuffer(self.pixels, dtype=word_dtype(self.format))
+        return words.reshape(self.height, self.width)
+
+
+def word_dtype(fmt: PixelFormat) -> np.dtype:
+    """The dtype holding one ``fmt`` pixel as a word: ``u1`` at 8 bpp,
+    else ``u2``/``u4`` in the format's byte order."""
+    if fmt.bits_per_pixel == 8:
+        return np.dtype(np.uint8)
+    byte_order = ">" if fmt.big_endian else "<"
+    return np.dtype(f"{byte_order}u{fmt.bytes_per_pixel}")
+
 
 def _check_rectangle(fb: Framebuffer, rect: Rectangle, pixel_bytes: bytes) -> None:
     """Reject a rectangle that leaves the framebuffer or whose payload is
@@ -140,15 +155,6 @@ def _byte_channel_layout(fmt: PixelFormat) -> tuple[int, int, int] | None:
     return tuple(layout)
 
 
-def _pixel_words(fb: Framebuffer) -> np.ndarray:
-    if fb.format.bits_per_pixel == 8:
-        words = np.frombuffer(fb.pixels, dtype=np.uint8)
-    else:
-        byte_order = ">" if fb.format.big_endian else "<"
-        words = np.frombuffer(fb.pixels, dtype=f"{byte_order}u{fb.format.bytes_per_pixel}")
-    return words.reshape(fb.height, fb.width)
-
-
 def to_grayscale(fb: Framebuffer) -> GrayFrame:
     """Reduce a true-color framebuffer to 8-bit luminance.
 
@@ -165,7 +171,7 @@ def to_grayscale(fb: Framebuffer) -> GrayFrame:
         red, green, blue = arr[..., layout[0]], arr[..., layout[1]], arr[..., layout[2]]
         values = ((299 * red + 587 * green + 114 * blue + 500) // 1000).astype(np.uint8)
         return GrayFrame(fb.width, fb.height, values)
-    words = _pixel_words(fb).astype(np.int64)
+    words = fb.as_words().astype(np.int64)
     red = (words >> fmt.red_shift) & fmt.red_max
     green = (words >> fmt.green_shift) & fmt.green_max
     blue = (words >> fmt.blue_shift) & fmt.blue_max
@@ -217,10 +223,7 @@ def pack_rgb(rgb: np.ndarray, fmt: PixelFormat) -> bytes:
         | (((2 * channels[..., 1] * fmt.green_max + 255) // 510) << fmt.green_shift)
         | (((2 * channels[..., 2] * fmt.blue_max + 255) // 510) << fmt.blue_shift)
     )
-    if fmt.bits_per_pixel == 8:
-        return word.astype(np.uint8).tobytes()
-    byte_order = ">" if fmt.big_endian else "<"
-    return word.astype(f"{byte_order}u{fmt.bytes_per_pixel}").tobytes()
+    return word.astype(word_dtype(fmt)).tobytes()
 
 
 def _partition(size: int, parts: int) -> np.ndarray:

@@ -20,13 +20,14 @@ seed; see :func:`episode_seed`.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidStateError
-from .framebuffer import Framebuffer, pack_rgb
+from .framebuffer import Framebuffer, pack_rgb, word_dtype
 from .wire import RGBX32, PixelFormat
 
 SCREEN_WIDTH = 160
@@ -47,6 +48,7 @@ PADDLE_END_OFFSET = 2
 BALL_SIZE = 8
 BALL_TOP_ROW = 132
 
+WHITE_RGB = (255, 255, 255)
 TERMINAL_RGB = (255, 0, 0)
 
 _SEED_STRIDE = 0x9E3779B97F4A7C15  # 64-bit golden-ratio increment
@@ -100,23 +102,38 @@ def ball_center_column(position: float) -> int:
 
 
 def render(state: GameState, fmt: PixelFormat = RGBX32) -> Framebuffer:
-    """Draw the state into a fresh framebuffer in the given format."""
-    rgb = np.zeros((SCREEN_HEIGHT, SCREEN_WIDTH, 3), dtype=np.uint8)
+    """Draw the state into a fresh framebuffer in the given format.
+
+    Pixels are written one ``fmt`` word at a time (see
+    :meth:`Framebuffer.as_words`) from colours packed once per format.
+    Black packs to 0 in every true-color format, so the zeroed buffer is
+    the background.
+    """
+    white, red = _colour_words(fmt)
+    fb = Framebuffer.blank(SCREEN_WIDTH, SCREEN_HEIGHT, fmt)
+    words = fb.as_words()
     if state.terminal:
-        rgb[:, :] = TERMINAL_RGB
-    else:
-        mid = PADDLE_ROW
-        left = mid + PADDLE_END_OFFSET * state.tilt
-        right = mid - PADDLE_END_OFFSET * state.tilt
-        rgb[mid : mid + PADDLE_THICKNESS, PADDLE_END_WIDTH : SCREEN_WIDTH - PADDLE_END_WIDTH] = 255
-        rgb[left : left + PADDLE_THICKNESS, :PADDLE_END_WIDTH] = 255
-        rgb[right : right + PADDLE_THICKNESS, SCREEN_WIDTH - PADDLE_END_WIDTH :] = 255
-        center = ball_center_column(state.position)
-        col_lo = max(0, center - BALL_SIZE // 2)
-        col_hi = min(SCREEN_WIDTH, center + BALL_SIZE // 2)
-        rgb[BALL_TOP_ROW : BALL_TOP_ROW + BALL_SIZE, col_lo:col_hi] = 255
-    pixels = pack_rgb(rgb, fmt)
-    return Framebuffer(SCREEN_WIDTH, SCREEN_HEIGHT, fmt, bytearray(pixels))
+        words[:] = red
+        return fb
+    mid = PADDLE_ROW
+    left = mid + PADDLE_END_OFFSET * state.tilt
+    right = mid - PADDLE_END_OFFSET * state.tilt
+    words[mid : mid + PADDLE_THICKNESS, PADDLE_END_WIDTH : SCREEN_WIDTH - PADDLE_END_WIDTH] = white
+    words[left : left + PADDLE_THICKNESS, :PADDLE_END_WIDTH] = white
+    words[right : right + PADDLE_THICKNESS, SCREEN_WIDTH - PADDLE_END_WIDTH :] = white
+    center = ball_center_column(state.position)
+    col_lo = max(0, center - BALL_SIZE // 2)
+    col_hi = min(SCREEN_WIDTH, center + BALL_SIZE // 2)
+    words[BALL_TOP_ROW : BALL_TOP_ROW + BALL_SIZE, col_lo:col_hi] = white
+    return fb
+
+
+@functools.lru_cache(maxsize=8)
+def _colour_words(fmt: PixelFormat) -> tuple[np.generic, np.generic]:
+    """White and the terminal red as ``fmt`` words."""
+    rgb = np.array([[WHITE_RGB, TERMINAL_RGB]], dtype=np.uint8)
+    white, red = np.frombuffer(pack_rgb(rgb, fmt), dtype=word_dtype(fmt))
+    return white, red
 
 
 def score(state: GameState, tick_rate: float | None = None) -> int:

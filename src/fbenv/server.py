@@ -9,6 +9,13 @@ configured rate, paced by :class:`fbenv.client.Pacer`, and lockstep mode
 where each incremental update request advances the game exactly one tick
 (non-incremental requests never tick; they just resync).
 
+The server holds two frames: the canonical frame (the game's latest
+render) and the mirror (what the client has been sent). Both are
+``(height, width)`` arrays of one word per pixel in the negotiated
+format (:func:`fbenv.framebuffer.word_dtype`), so an incremental update
+is the bounding box of the words that differ, and its ``tobytes()`` is
+the raw rectangle payload as RFC 6143 sends it.
+
 A diagnostic side channel on a second TCP port answers the line "HASH"
 with the FNV-1a hash of the framebuffer as of the last update sent plus
 the update count, letting tests verify client/server pixel fidelity
@@ -174,13 +181,7 @@ class MockServer:
     # -- game state (all callers hold the lock) -------------------------
 
     def _render(self) -> np.ndarray:
-        fb = game.render(self._game, self._format)
-        bpp = self._format.bytes_per_pixel
-        return (
-            np.frombuffer(fb.pixels, dtype=np.uint8)
-            .reshape(game.SCREEN_HEIGHT, game.SCREEN_WIDTH, bpp)
-            .copy()
-        )
+        return game.render(self._game, self._format).as_words()
 
     def _reset_episode(self) -> None:
         self._episode += 1
@@ -234,18 +235,16 @@ class MockServer:
             self._generation = 0
         buffer = bytearray()
         conn.settimeout(None)  # an idle client is kept; SO_SNDTIMEO bounds sends
-        while True:
-            try:
-                message, consumed = decode_client_message(buffer)
-            except IncompleteMessageError:
-                chunk = conn.recv(65536)
-                if not chunk:
+        while chunk := conn.recv(65536):
+            buffer.extend(chunk)
+            while buffer:
+                try:
+                    message, consumed = decode_client_message(buffer)
+                except IncompleteMessageError:
+                    break  # the rest of the message is still in flight
+                del buffer[:consumed]
+                if not self._dispatch(conn, message):
                     return
-                buffer.extend(chunk)
-                continue
-            del buffer[:consumed]
-            if not self._dispatch(conn, message):
-                return
 
     def _handshake(self, conn: socket.socket) -> bool:
         conn.sendall(PROTOCOL_VERSION)
@@ -326,7 +325,7 @@ class MockServer:
         if not self._dirty:
             return []
         self._dirty = False
-        changed = (self._canonical != self._mirror).any(axis=2)
+        changed = self._canonical != self._mirror
         rows = np.flatnonzero(changed.any(axis=1))
         if rows.size == 0:
             return []

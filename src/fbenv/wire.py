@@ -46,6 +46,10 @@ MSG_SERVER_CUT_TEXT = 3
 
 ENCODING_RAW = 0
 
+#: Longest ServerCutText a client accepts; a longer declared length is a
+#: protocol error before any of its bytes are buffered.
+MAX_CUT_TEXT_LENGTH = 1 << 20
+
 _PIXEL_FORMAT_STRUCT = struct.Struct(">BBBBHHHBBB3x")
 _VERSION_RE = re.compile(rb"^RFB (\d{3})\.(\d{3})\n$")
 
@@ -347,6 +351,8 @@ def decode_server_message(data, fmt: PixelFormat, screen: tuple[int, int]) -> tu
     if msg_type == MSG_SERVER_CUT_TEXT:
         _need(data, 8)
         (length,) = struct.unpack(">I", data[4:8])
+        if length > MAX_CUT_TEXT_LENGTH:
+            raise ProtocolError(f"cut text of {length} bytes exceeds {MAX_CUT_TEXT_LENGTH}")
         _need(data, 8 + length)
         return ServerCutText(bytes(data[8 : 8 + length]).decode("latin-1")), 8 + length
     raise ProtocolError(f"unknown server message type {msg_type}")

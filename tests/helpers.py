@@ -13,6 +13,15 @@ import socket
 import struct
 import threading
 
+from fbenv.wire import RGBX32, PixelFormat
+
+# -- pixel formats the tests negotiate ---------------------------------------
+
+BGRX32_BE = PixelFormat(32, 24, True, True, 255, 255, 255, 0, 8, 16)
+RGB565 = PixelFormat(16, 16, False, True, 31, 63, 31, 11, 5, 0)
+RGB332 = PixelFormat(8, 8, False, True, 7, 7, 3, 5, 2, 0)
+TEST_FORMATS = (RGBX32, BGRX32_BE, RGB565, RGB332)
+
 
 # -- paddle dynamics oracle --------------------------------------------------
 

@@ -10,18 +10,19 @@ import pytest
 
 import fbenv.client
 import fbenv.server
-from fbenv.client import DEFAULT_CONNECT_TIMEOUT, Pacer, SessionState, connect
+from fbenv.client import DEFAULT_CONNECT_TIMEOUT, Pacer, Session, SessionState, connect
 from fbenv.errors import (
     ConnectionLostError,
     HandshakeRefusedError,
     InvalidStateError,
+    ProtocolError,
     UnsupportedSecurityError,
 )
 from fbenv.fnv import fnv1a64
-from fbenv.keys import KEY_LEFT, KEY_RIGHT
-from fbenv.wire import perform_handshake
+from fbenv.keys import KEY_LEFT, KEY_RIGHT, KEY_SPACE
+from fbenv.wire import RGBX32, ServerInit, perform_handshake
 
-from helpers import reference_parse_client_message, RecordingServer
+from helpers import TEST_FORMATS, reference_parse_client_message, RecordingServer
 
 
 def side_channel_hash(port: int) -> tuple[int, int]:
@@ -281,16 +282,18 @@ def test_server_stop_wakes_open_connections_at_once(server_factory):
 
 
 class FakeClock:
-    """Stands in for fbenv.client's ``time``; a sleep lands exactly."""
+    """Stands in for fbenv.client's ``time``; a sleep lands ``late``
+    seconds after its end (exactly, by default)."""
 
     def __init__(self):
         self.now = 100.0
+        self.late = 0.0
 
     def monotonic(self):
         return self.now
 
     def sleep(self, seconds):
-        self.now += seconds
+        self.now += seconds + self.late
 
 
 @pytest.fixture
@@ -314,10 +317,27 @@ def test_pacer_skips_passed_ticks_and_keeps_half_a_period(clock):
     clock.now += 0.08  # tick 0 fires late, 0.02 before tick 1's grid point
     assert pacer.wait()
     assert pacer.wait()
-    assert clock.now == pytest.approx(100.2)  # not 100.1: too close to the last tick
-    clock.now += 0.13  # overrun past tick 3's grid point
+    assert clock.now == pytest.approx(100.13)  # not 100.1: too close to the last tick
+    clock.now += 0.13  # overrun more than half a period past tick 2's grid point
     assert pacer.wait()
-    assert clock.now == pytest.approx(100.4)
+    assert clock.now == pytest.approx(100.3)  # tick 2 is skipped
+    clock.now += 0.24  # overrun less than half a period past tick 5's grid point
+    assert pacer.wait()
+    assert clock.now == pytest.approx(100.54)  # tick 5 fires at once; tick 4 is skipped
+    assert pacer.wait()
+    assert clock.now == pytest.approx(100.6)
+
+
+def test_pacer_keeps_ticks_that_wake_late(clock):
+    clock.late = 0.055  # every sleep overshoots by 0.55 of a period
+    pacer = Pacer(0.1)
+    fired = []
+    while pacer.wait(end=101.0):
+        fired.append(clock.now)
+    assert fired == pytest.approx(
+        [100.0, 100.155, 100.26, 100.365, 100.47, 100.575, 100.68, 100.785, 100.89, 100.995]
+    )
+    assert min(b - a for a, b in zip(fired, fired[1:])) >= 0.05
 
 
 def test_pacer_stop_event_ends_a_wait_early():
@@ -429,7 +449,67 @@ def test_side_messages_do_not_count_as_updates():
         recorder.stop()
 
 
+def test_oversized_cut_text_header_raises_without_waiting():
+    server_end, client_end = socket.socketpair()
+    with server_end, client_end:
+        session = Session(client_end, ServerInit(160, 160, RGBX32, "stub"), RGBX32)
+        session.state = SessionState.READY
+        server_end.sendall(struct.pack(">B3xI", 3, 0xFFFFFFFF))  # 4 GiB declared, none sent
+        started = time.monotonic()
+        with pytest.raises(ProtocolError):
+            session.poll(DEFAULT_CONNECT_TIMEOUT)
+        assert time.monotonic() - started < 1.0
+        assert session.state is SessionState.CLOSED
+
+
 # -- pixel fidelity ----------------------------------------------------------
+
+
+def steer_randomly(session, rng) -> None:
+    """Hold left, right or neither; now and then restart the episode."""
+    action = int(rng.integers(0, 3))
+    session.send_key(KEY_LEFT, action == 1)
+    session.send_key(KEY_RIGHT, action == 2)
+    if rng.random() < 0.02:
+        session.press_key(KEY_SPACE)
+
+
+def bounding_box(changed: np.ndarray) -> tuple[int, int, int, int] | None:
+    rows = np.flatnonzero(changed.any(axis=1))
+    cols = np.flatnonzero(changed.any(axis=0))
+    if rows.size == 0:
+        return None
+    return int(cols[0]), int(rows[0]), int(cols[-1] - cols[0] + 1), int(rows[-1] - rows[0] + 1)
+
+
+def test_incremental_rectangles_are_the_byte_diff_bounding_box(server_factory, monkeypatch):
+    server = server_factory(lockstep=True, auto_reset=True, seed=29)
+    updates = []
+    apply_update = fbenv.client.apply_update
+
+    def recording_apply_update(fb, update):
+        before = fb.as_array().copy()
+        apply_update(fb, update)
+        updates.append((before, fb.as_array().copy(), update))
+        return fb
+
+    monkeypatch.setattr(fbenv.client, "apply_update", recording_apply_update)
+    for fmt in TEST_FORMATS:
+        rng = np.random.default_rng(fmt.bits_per_pixel + fmt.big_endian)
+        with connect("127.0.0.1", server.port, requested_format=fmt) as session:
+            updates.clear()
+            for _ in range(200):
+                steer_randomly(session, rng)
+                assert session.poll(DEFAULT_CONNECT_TIMEOUT)
+            digest, generation = side_channel_hash(server.side_channel_port)
+            assert generation == session.frame_counter == 201
+            assert digest == fnv1a64(bytes(session.framebuffer.pixels))
+        assert len(updates) == 200
+        assert sum(bool(update.rectangles) for _, _, update in updates) > 100
+        for before, after, update in updates:
+            box = bounding_box((before != after).any(axis=2))
+            rects = [(r.x, r.y, r.width, r.height) for r, _ in update.rectangles]
+            assert rects == ([] if box is None else [box])
 
 
 def test_client_buffer_matches_server_hash_over_random_play(session_factory):

@@ -20,10 +20,7 @@ from fbenv.framebuffer import (
 )
 from fbenv.wire import RGBX32, FramebufferUpdate, PixelFormat, Rectangle
 
-from helpers import oracle_downsample, oracle_gray
-
-RGB565 = PixelFormat(16, 16, False, True, 31, 63, 31, 11, 5, 0)
-BGRX32_BE = PixelFormat(32, 24, True, True, 255, 255, 255, 0, 8, 16)
+from helpers import BGRX32_BE, RGB565, oracle_downsample, oracle_gray
 
 
 def gray(values) -> GrayFrame:

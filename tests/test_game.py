@@ -9,6 +9,12 @@ from fbenv.errors import InvalidStateError
 from fbenv.game import (
     BALL_SIZE,
     BALL_TOP_ROW,
+    PADDLE_END_OFFSET,
+    PADDLE_END_WIDTH,
+    PADDLE_ROW,
+    PADDLE_THICKNESS,
+    SCREEN_HEIGHT,
+    SCREEN_WIDTH,
     GameState,
     ball_center_column,
     episode_seed,
@@ -17,10 +23,11 @@ from fbenv.game import (
     score,
     step_game,
 )
-from fbenv.framebuffer import pixel_rgb
+from fbenv.framebuffer import pack_rgb, pixel_rgb
 from fbenv.wire import PixelFormat
 
 from helpers import (
+    TEST_FORMATS,
     oracle_ball_columns,
     oracle_episode_seed,
     oracle_start_position,
@@ -222,6 +229,36 @@ def test_render_clips_ball_at_edges():
     for col in range(0, 12):
         expected = (255, 255, 255) if col in lit else (0, 0, 0)
         assert pixel_rgb(fb, col, row) == expected
+
+
+def oracle_render(g: GameState, fmt: PixelFormat) -> bytes:
+    """Reference drawing: a full RGB array, then pack_rgb over all of it."""
+    rgb = np.zeros((SCREEN_HEIGHT, SCREEN_WIDTH, 3), dtype=np.uint8)
+    if g.terminal:
+        rgb[:, :] = (255, 0, 0)
+        return pack_rgb(rgb, fmt)
+    left = PADDLE_ROW + PADDLE_END_OFFSET * g.tilt
+    right = PADDLE_ROW - PADDLE_END_OFFSET * g.tilt
+    rgb[PADDLE_ROW : PADDLE_ROW + PADDLE_THICKNESS, PADDLE_END_WIDTH : SCREEN_WIDTH - PADDLE_END_WIDTH] = 255
+    rgb[left : left + PADDLE_THICKNESS, :PADDLE_END_WIDTH] = 255
+    rgb[right : right + PADDLE_THICKNESS, SCREEN_WIDTH - PADDLE_END_WIDTH :] = 255
+    for col in oracle_ball_columns(g.position):
+        rgb[BALL_TOP_ROW : BALL_TOP_ROW + BALL_SIZE, col] = 255
+    return pack_rgb(rgb, fmt)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    fmt=st.sampled_from(TEST_FORMATS),
+    p=st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, -0.99, 0.99, 1.0])),
+    tilt=st.sampled_from([-1, 0, 1]),
+    terminal=st.booleans(),
+)
+def test_render_matches_rgb_oracle_in_every_format(fmt, p, tilt, terminal):
+    g = state(p=p, tilt=tilt, terminal=terminal)
+    fb = render(g, fmt)
+    assert fb.format == fmt
+    assert bytes(fb.pixels) == oracle_render(g, fmt)
 
 
 # -- scoring -----------------------------------------------------------------

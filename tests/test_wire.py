@@ -15,6 +15,7 @@ from fbenv.errors import (
     UnsupportedVersionError,
 )
 from fbenv.wire import (
+    MAX_CUT_TEXT_LENGTH,
     RGBX32,
     Bell,
     FramebufferUpdate,
@@ -88,14 +89,15 @@ def test_encode_range_violations():
 
 # -- round trips -------------------------------------------------------------
 
+_TRUE_COLOR_FORMATS = [
+    RGBX32,
+    PixelFormat(32, 24, True, True, 255, 255, 255, 0, 8, 16),
+    PixelFormat(16, 16, False, True, 31, 63, 31, 11, 5, 0),
+    PixelFormat(8, 8, False, True, 7, 7, 3, 5, 2, 0),
+]
+
 _pixel_formats = st.sampled_from(
-    [
-        RGBX32,
-        PixelFormat(32, 24, True, True, 255, 255, 255, 0, 8, 16),
-        PixelFormat(16, 16, False, True, 31, 63, 31, 11, 5, 0),
-        PixelFormat(8, 8, False, True, 7, 7, 3, 5, 2, 0),
-        PixelFormat(32, 24, False, False, 255, 255, 255, 16, 8, 0),
-    ]
+    _TRUE_COLOR_FORMATS + [PixelFormat(32, 24, False, False, 255, 255, 255, 16, 8, 0)]
 )
 
 _client_messages = st.one_of(
@@ -281,6 +283,20 @@ def test_decode_cut_text():
     assert consumed == 10
 
 
+def test_decode_rejects_cut_text_over_the_cap_before_its_bytes():
+    header = struct.pack(">B3xI", 3, MAX_CUT_TEXT_LENGTH + 1)
+    with pytest.raises(ProtocolError):
+        decode_server_message(header, RGBX32, SCREEN)
+    with pytest.raises(ProtocolError):
+        decode_server_message(struct.pack(">B3xI", 3, 0xFFFFFFFF), RGBX32, SCREEN)
+    at_cap = struct.pack(">B3xI", 3, MAX_CUT_TEXT_LENGTH)
+    with pytest.raises(IncompleteMessageError):
+        decode_server_message(at_cap, RGBX32, SCREEN)
+    message, consumed = decode_server_message(at_cap + bytes(MAX_CUT_TEXT_LENGTH), RGBX32, SCREEN)
+    assert consumed == 8 + MAX_CUT_TEXT_LENGTH
+    assert len(message.text) == MAX_CUT_TEXT_LENGTH
+
+
 def test_server_update_encode_decode_round_trip():
     rect = Rectangle(3, 4, 2, 2)
     payload = bytes(range(2 * 2 * 4))
@@ -289,6 +305,51 @@ def test_server_update_encode_decode_round_trip():
     assert consumed == len(encoded)
     assert message.rectangles == ((rect, payload),)
     assert decode_server_message(encode_bell(), RGBX32, SCREEN)[0] == Bell()
+
+
+# -- decoder fuzzing ---------------------------------------------------------
+
+
+def _fuzz_bytes(message_types):
+    """Arbitrary bytes, half of them led by a known message type so the
+    decoder gets past its first branch."""
+    led = st.tuples(st.sampled_from(message_types), st.binary(max_size=96)).map(
+        lambda parts: bytes([parts[0]]) + parts[1]
+    )
+    return st.one_of(st.binary(max_size=96), led)
+
+
+def _decode_or_typed_error(decode, data):
+    """Decode ``data`` as bytes and as a bytearray; both must give the same
+    message and a consumed count within the buffer, or raise
+    ProtocolError/IncompleteMessageError. Returns the message or None."""
+    outcomes = []
+    for buffer in (bytes(data), bytearray(data)):
+        try:
+            message, consumed = decode(buffer)
+        except (ProtocolError, IncompleteMessageError) as exc:
+            outcomes.append(type(exc))
+            continue
+        assert 0 < consumed <= len(data)
+        outcomes.append((message, consumed))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0][0] if isinstance(outcomes[0], tuple) else None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_TRUE_COLOR_FORMATS), _fuzz_bytes([0, 1, 2, 3]))
+def test_decode_server_message_fuzz(fmt, data):
+    message = _decode_or_typed_error(lambda buf: decode_server_message(buf, fmt, SCREEN), data)
+    assert message is None or isinstance(message, (FramebufferUpdate, Bell, ServerCutText))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fuzz_bytes([0, 2, 3, 4, 5]))
+def test_decode_client_message_fuzz(data):
+    message = _decode_or_typed_error(decode_client_message, data)
+    assert message is None or isinstance(
+        message, (SetPixelFormat, SetEncodings, FramebufferUpdateRequest, KeyEvent, PointerEvent)
+    )
 
 
 # -- handshake ---------------------------------------------------------------
