@@ -243,14 +243,14 @@ class Session:
 
     # -- capture --------------------------------------------------------
 
-    def refresh(self, timeout: float = DEFAULT_CONNECT_TIMEOUT) -> GrayFrame:
-        """Request a full (non-incremental) update and wait for it."""
+    def refresh(self, timeout: float = DEFAULT_CONNECT_TIMEOUT) -> None:
+        """Request a full (non-incremental) update and apply it to
+        :attr:`framebuffer`; :meth:`snapshot` reads it as gray pixels."""
         self._require_ready()
         self._send(encode_client_message(FramebufferUpdateRequest(False, self._full_region())))
         if not self._pump_until_update(time.monotonic() + timeout):
             raise ConnectionLostError("no framebuffer update within refresh timeout")
         self._drain_pending()
-        return self.snapshot()
 
     def poll(self, deadline: float = POLL_DEADLINE) -> bool:
         """Incremental update request; applies whatever the server sends.

@@ -1,8 +1,12 @@
 """Gym-style facade over a client session: reset/step, rewards, terminal
 pixel probe.
 
-Everything the environment knows arrives through pixels. Episode end is
-detected by probing one framebuffer pixel for the server's solid-red
+Everything the environment knows arrives through pixels. An observation
+is the (cropped) framebuffer in grayscale, box-filtered to
+``obs_width`` x ``obs_height``; a :class:`fbenv.framebuffer.GrayCells`
+keeps it, redoing per step only the cell rows whose pixels changed (a
+paddle redraw touches two of the default 16). Episode end is detected
+by probing one framebuffer pixel for the server's solid-red
 terminal screen, and reward accrues per surviving step (default 1/30 so
 a second survived is worth one point at the standard tick rate).
 
@@ -25,7 +29,9 @@ from typing import Callable, NamedTuple
 
 from .client import DEFAULT_CONNECT_TIMEOUT, Pacer, Session, connect
 from .errors import ConnectionLostError, InvalidStateError, ResetTimeoutError
-from .framebuffer import GrayFrame, crop, downsample, pixel_rgb
+# downsample is unused here; it stays importable as fbenv.env.downsample,
+# the name perfbench's tracer wraps
+from .framebuffer import GrayCells, GrayFrame, downsample, pixel_rgb  # noqa: F401
 from .keys import KEY_LEFT, KEY_RIGHT, KEY_SPACE
 
 RESET_DEADLINE = 2.0
@@ -105,7 +111,7 @@ class Env:
         self._episode_over = False
         self._held: int | None = None
         self._pacer = Pacer(1.0 / config.tick_rate)
-        self._last_observation = self._observe()
+        self._cells = GrayCells(session.framebuffer, config.obs_width, config.obs_height, config.crop)
 
     def _validate_geometry(self) -> None:
         width, height = self.session.width, self.session.height
@@ -135,11 +141,7 @@ class Env:
     # -- observation ------------------------------------------------------
 
     def _observe(self) -> Observation:
-        frame = self.session.snapshot()
-        if self.config.crop is not None:
-            frame = crop(frame, *self.config.crop)
-        frame = downsample(frame, self.config.obs_width, self.config.obs_height)
-        return Observation(frame, self._step_index)
+        return Observation(self._cells.observe(), self._step_index)
 
     def _probe_terminal(self) -> bool:
         x, y = self.config.probe_xy
@@ -169,8 +171,7 @@ class Env:
         self._episode_over = False
         self._pacer = Pacer(1.0 / self.config.tick_rate)
         self._pacer.wait()  # the reset frame takes the first tick
-        self._last_observation = self._observe()
-        return self._last_observation
+        return self._observe()
 
     def step(self, action_id: int) -> StepResult:
         """Inject an action, advance one frame, and score the transition."""
@@ -196,8 +197,7 @@ class Env:
         truncated = not terminal and self._step_index >= self.config.max_episode_steps
         reward = 0.0 if terminal else self.config.reward_per_step
         self._episode_over = terminal or truncated
-        self._last_observation = self._observe()
-        return StepResult(self._last_observation, reward, self._episode_over, truncated)
+        return StepResult(self._observe(), reward, self._episode_over, truncated)
 
     def run_episode(self, policy: Callable[[Observation], int]) -> tuple[float, list[Transition]]:
         """Reset, then follow ``policy`` until the episode ends.

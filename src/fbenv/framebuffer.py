@@ -3,6 +3,9 @@
 The framebuffer mirrors the server screen byte-for-byte in the negotiated
 pixel format. Observations are derived from it: true-color pixels are
 reduced to 8-bit luminance and box-filtered down to a small grid.
+:func:`to_grayscale` and :func:`downsample` do this for a whole frame;
+:class:`GrayCells` gives the same values while redoing only the cell rows
+whose pixels changed since it last looked.
 
 Rounding is half-up everywhere (x -> floor(x + 0.5)) so every value here
 can be reproduced exactly by an integer-arithmetic oracle.
@@ -155,23 +158,27 @@ def _byte_channel_layout(fmt: PixelFormat) -> tuple[int, int, int] | None:
     return tuple(layout)
 
 
-def to_grayscale(fb: Framebuffer) -> GrayFrame:
-    """Reduce a true-color framebuffer to 8-bit luminance.
+def _luma(fb: Framebuffer, window=np.s_[:, :]) -> np.ndarray:
+    """8-bit luminance of the ``window`` (a row and a column slice) of a
+    true-color framebuffer's pixels, one uint8 per pixel.
 
     gray = floor(0.299 R + 0.587 G + 0.114 B + 0.5) with each channel
     first rescaled to 0..255 via its color-max. Evaluated in exact
     integer arithmetic, so the result is free of float rounding.
     """
-    if not fb.format.true_color:
-        raise UnsupportedFormatError("palette formats cannot be converted to grayscale")
     fmt = fb.format
+    if not fmt.true_color:
+        raise UnsupportedFormatError("palette formats cannot be converted to grayscale")
     layout = _byte_channel_layout(fmt)
     if layout is not None:
-        arr = fb.as_array().astype(np.int32)
-        red, green, blue = arr[..., layout[0]], arr[..., layout[1]], arr[..., layout[2]]
-        values = ((299 * red + 587 * green + 114 * blue + 500) // 1000).astype(np.uint8)
-        return GrayFrame(fb.width, fb.height, values)
-    words = fb.as_words().astype(np.int64)
+        arr = fb.as_array()[window]
+        gray = np.multiply(arr[..., layout[0]], 299, dtype=np.int32)
+        gray += np.multiply(arr[..., layout[1]], 587, dtype=np.int32)
+        gray += np.multiply(arr[..., layout[2]], 114, dtype=np.int32)
+        gray += 500
+        gray //= 1000
+        return gray.astype(np.uint8)
+    words = fb.as_words()[window].astype(np.int64)
     red = (words >> fmt.red_shift) & fmt.red_max
     green = (words >> fmt.green_shift) & fmt.green_max
     blue = (words >> fmt.blue_shift) & fmt.blue_max
@@ -179,8 +186,12 @@ def to_grayscale(fb: Framebuffer) -> GrayFrame:
     gb, rb, rg = fmt.green_max * fmt.blue_max, fmt.red_max * fmt.blue_max, fmt.red_max * fmt.green_max
     numerator = 255 * (299 * red * gb + 587 * green * rb + 114 * blue * rg)
     denominator = 1000 * fmt.red_max * gb
-    values = ((2 * numerator + denominator) // (2 * denominator)).astype(np.uint8)
-    return GrayFrame(fb.width, fb.height, values)
+    return ((2 * numerator + denominator) // (2 * denominator)).astype(np.uint8)
+
+
+def to_grayscale(fb: Framebuffer) -> GrayFrame:
+    """Reduce a true-color framebuffer to 8-bit luminance (see :func:`_luma`)."""
+    return GrayFrame(fb.width, fb.height, _luma(fb))
 
 
 def pixel_rgb(fb: Framebuffer, x: int, y: int) -> tuple[int, int, int]:
@@ -232,6 +243,32 @@ def _partition(size: int, parts: int) -> np.ndarray:
     return (np.arange(parts + 1) * size) // parts
 
 
+def _cell_grid(width: int, height: int, out_width: int, out_height: int) -> tuple[np.ndarray, ...]:
+    """Row edges, column edges and pixel counts of the cells that
+    box-filter a ``width`` x ``height`` image to ``out_width`` x
+    ``out_height``."""
+    if out_width < 1 or out_height < 1:
+        raise ValueError("output dimensions must be at least 1x1")
+    if out_width > width or out_height > height:
+        raise ValueError("cannot downsample to larger dimensions")
+    row_edges, col_edges = _partition(height, out_height), _partition(width, out_width)
+    return row_edges, col_edges, np.outer(np.diff(row_edges), np.diff(col_edges))
+
+
+def _box_means(
+    values: np.ndarray, row_starts: np.ndarray, col_starts: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Mean of ``values`` over each cell, given the cells' first rows and
+    columns (the first of each 0) and pixel counts, rounded half-up in
+    exact integer arithmetic."""
+    sums = np.add.reduceat(values, col_starts, axis=1, dtype=np.int64)
+    sums = np.add.reduceat(sums, row_starts, axis=0)
+    sums *= 2
+    sums += counts
+    sums //= 2 * counts
+    return sums.astype(np.uint8)
+
+
 def downsample(frame: GrayFrame, out_width: int, out_height: int) -> GrayFrame:
     """Box-filter mean over each source cell, rounded half-up.
 
@@ -239,17 +276,51 @@ def downsample(frame: GrayFrame, out_width: int, out_height: int) -> GrayFrame:
     floor((i+1)*H/out_h)) and the matching column range. The mean is
     computed in exact integer arithmetic.
     """
-    if out_width < 1 or out_height < 1:
-        raise ValueError("output dimensions must be at least 1x1")
-    if out_width > frame.width or out_height > frame.height:
-        raise ValueError("cannot downsample to larger dimensions")
-    row_edges = _partition(frame.height, out_height)
-    col_edges = _partition(frame.width, out_width)
-    sums = np.add.reduceat(frame.values.astype(np.int64), row_edges[:-1], axis=0)
-    sums = np.add.reduceat(sums, col_edges[:-1], axis=1)
-    counts = np.outer(np.diff(row_edges), np.diff(col_edges))
-    values = ((2 * sums + counts) // (2 * counts)).astype(np.uint8)
-    return GrayFrame(out_width, out_height, values)
+    row_edges, col_edges, counts = _cell_grid(frame.width, frame.height, out_width, out_height)
+    return GrayFrame(out_width, out_height, _box_means(frame.values, row_edges[:-1], col_edges[:-1], counts))
+
+
+class GrayCells:
+    """Box-filtered grayscale of one framebuffer region, kept current
+    from the rows that change.
+
+    :meth:`observe` returns exactly ``downsample(crop(to_grayscale(fb),
+    *region), out_width, out_height)``, but converts and averages only
+    the cell rows holding a pixel word that differs from the previous
+    call. Changes are found by comparing words, so any writer of
+    ``fb.pixels`` is seen, not only :func:`apply_update`.
+    """
+
+    def __init__(self, fb: Framebuffer, out_width: int, out_height: int, region=None):
+        x, y, width, height = region or (0, 0, fb.width, fb.height)
+        if width < 1 or height < 1 or x < 0 or y < 0 or x + width > fb.width or y + height > fb.height:
+            raise ValueError(f"region {region} exceeds {fb.width}x{fb.height}")
+        self._fb = fb
+        self._y = y
+        self._window = np.s_[y : y + height, x : x + width]
+        self._row_edges, col_edges, self._counts = _cell_grid(width, height, out_width, out_height)
+        self._col_starts = col_edges[:-1]
+        # the cell row of each pixel row, as Python ints for cheap lookups
+        self._row_cell = np.repeat(np.arange(out_height), np.diff(self._row_edges)).tolist()
+        self._words = fb.as_words()[self._window].copy()
+        gray = _luma(fb, self._window)
+        self._cells = _box_means(gray, self._row_edges[:-1], self._col_starts, self._counts)
+
+    def observe(self) -> GrayFrame:
+        """The region's cell means now, as a new frame."""
+        words = self._fb.as_words()[self._window]
+        rows = np.flatnonzero((words != self._words).any(axis=1))
+        if rows.size:
+            edges = self._row_edges
+            first, end = self._row_cell[rows[0]], self._row_cell[rows[-1]] + 1
+            top, bottom = int(edges[first]), int(edges[end])
+            self._words[top:bottom] = words[top:bottom]
+            band = _luma(self._fb, np.s_[self._y + top : self._y + bottom, self._window[1]])
+            self._cells[first:end] = _box_means(
+                band, edges[first:end] - top, self._col_starts, self._counts[first:end]
+            )
+        out_height, out_width = self._cells.shape
+        return GrayFrame(out_width, out_height, self._cells.copy())
 
 
 def crop(frame: GrayFrame, x: int, y: int, width: int, height: int) -> GrayFrame:

@@ -21,6 +21,8 @@ with the FNV-1a hash of the framebuffer as of the last update sent plus
 the update count, letting tests verify client/server pixel fidelity
 without touching the RFB stream. One RFB client is served at a time; a
 protocol violation drops that client and the server keeps listening.
+:attr:`MockServer.drops` counts the connections dropped on an error and
+keeps the last one's reason.
 
 Sockets block, and :meth:`MockServer.stop` wakes them: it shuts down both
 listeners and every open connection, which makes a blocked ``accept()``
@@ -50,7 +52,6 @@ from .wire import (
     FramebufferUpdateRequest,
     KeyEvent,
     PixelFormat,
-    PointerEvent,
     Rectangle,
     SetEncodings,
     SetPixelFormat,
@@ -58,7 +59,7 @@ from .wire import (
     encode_framebuffer_update,
     read_exact,
 )
-from .errors import FbenvError, IncompleteMessageError
+from .errors import FbenvError, IncompleteMessageError, ProtocolError
 
 SERVER_NAME = "multitask-lite"
 STALL_TIMEOUT = 10  # seconds a stalled peer may hold a connection
@@ -90,6 +91,8 @@ class MockServer:
         self._listener: socket.socket | None = None
         self._side_listener: socket.socket | None = None
         self._conns: set[socket.socket] = set()  # open connections, under the lock
+        self._drops = 0  # clients dropped on an error, under the lock
+        self._last_drop: str | None = None  # "ExceptionType: message", under the lock
         self._episode = 0
         self._game = game.new_game(game.episode_seed(self.config.seed, 0))
         self._format = RGBX32
@@ -171,8 +174,10 @@ class MockServer:
                     timeval = struct.pack("ll", STALL_TIMEOUT, 0)
                     conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
                     handler(conn)
-            except (OSError, FbenvError, ValueError):
-                pass  # drop this client, keep listening
+            except (OSError, FbenvError, ValueError) as exc:  # drop this client, keep listening
+                with self._lock:
+                    self._drops += 1
+                    self._last_drop = f"{type(exc).__name__}: {exc}"
             finally:
                 with self._lock:
                     self._conns.discard(conn)
@@ -211,6 +216,13 @@ class MockServer:
         with self._lock:
             return self._episode
 
+    @property
+    def drops(self) -> tuple[int, str | None]:
+        """Connections dropped on an error so far, and the last one's
+        reason as "ExceptionType: message" (None before the first)."""
+        with self._lock:
+            return self._drops, self._last_drop
+
     # -- ticker (timed mode) ---------------------------------------------
 
     def _ticker_loop(self) -> None:
@@ -225,8 +237,7 @@ class MockServer:
     def _serve_client(self, conn: socket.socket) -> None:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn.settimeout(STALL_TIMEOUT)
-        if not self._handshake(conn):
-            return
+        self._handshake(conn)
         with self._lock:
             self._format = RGBX32
             self._canonical = self._render()
@@ -243,22 +254,23 @@ class MockServer:
                 except IncompleteMessageError:
                     break  # the rest of the message is still in flight
                 del buffer[:consumed]
-                if not self._dispatch(conn, message):
-                    return
+                self._dispatch(conn, message)
 
-    def _handshake(self, conn: socket.socket) -> bool:
+    def _handshake(self, conn: socket.socket) -> None:
+        """Run the server side of the 3.8 handshake; a refusal sends its
+        reason, then raises ProtocolError to drop the client."""
         conn.sendall(PROTOCOL_VERSION)
         client_version = read_exact(conn, 12)
         if client_version != PROTOCOL_VERSION:
             reason = b"only RFB 3.8 is served"
             conn.sendall(struct.pack(">BI", 0, len(reason)) + reason)
-            return False
+            raise ProtocolError(f"refused client version {client_version!r}")
         conn.sendall(struct.pack(">BB", 1, 1))  # one security type: None
         (chosen,) = read_exact(conn, 1)
         if chosen != 1:
             reason = b"security type None required"
             conn.sendall(struct.pack(">II", 1, len(reason)) + reason)
-            return False
+            raise ProtocolError(f"refused security type {chosen}")
         conn.sendall(struct.pack(">I", 0))  # SecurityResult OK
         read_exact(conn, 1)  # ClientInit; shared flag ignored, one client anyway
         name = SERVER_NAME.encode("ascii")
@@ -268,24 +280,19 @@ class MockServer:
             + struct.pack(">I", len(name))
             + name
         )
-        return True
 
-    def _dispatch(self, conn: socket.socket, message) -> bool:
-        """Apply one client message; False drops the connection."""
+    def _dispatch(self, conn: socket.socket, message) -> None:
+        """Apply one client message; one the server will not serve raises
+        ProtocolError, which drops the client. A PointerEvent is accepted
+        and ignored: the game has no pointer controls."""
         if isinstance(message, FramebufferUpdateRequest):
-            payload = self._update_payload(message.incremental)
-            conn.sendall(payload)
-            return True
-        if isinstance(message, KeyEvent):
+            conn.sendall(self._update_payload(message.incremental))
+        elif isinstance(message, KeyEvent):
             self._on_key(message)
-            return True
-        if isinstance(message, PointerEvent):
-            return True  # accepted; the game has no pointer controls
-        if isinstance(message, SetEncodings):
-            return ENCODING_RAW in message.encodings
-        if isinstance(message, SetPixelFormat):
-            return self._on_set_format(message.format)
-        return False
+        elif isinstance(message, SetEncodings) and ENCODING_RAW not in message.encodings:
+            raise ProtocolError(f"client does not accept raw encoding, only {message.encodings}")
+        elif isinstance(message, SetPixelFormat):
+            self._on_set_format(message.format)
 
     def _on_key(self, event: KeyEvent) -> None:
         with self._lock:
@@ -297,15 +304,14 @@ class MockServer:
             elif event.keysym == KEY_SPACE and event.down:
                 self._reset_episode()
 
-    def _on_set_format(self, fmt: PixelFormat) -> bool:
+    def _on_set_format(self, fmt: PixelFormat) -> None:
         if not fmt.true_color:
-            return False
+            raise ProtocolError("palette pixel formats are not served")
         with self._lock:
             self._format = fmt
             self._canonical = self._render()
             self._mirror = np.zeros_like(self._canonical)
             self._dirty = True
-        return True
 
     def _update_payload(self, incremental: bool) -> bytes:
         with self._lock:

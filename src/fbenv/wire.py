@@ -50,6 +50,11 @@ ENCODING_RAW = 0
 #: protocol error before any of its bytes are buffered.
 MAX_CUT_TEXT_LENGTH = 1 << 20
 
+#: Most pixel bytes one FramebufferUpdate may declare, in full screens of
+#: the negotiated format; a rectangle that takes the running total past it
+#: is a protocol error before any of its bytes are buffered.
+MAX_UPDATE_SCREENS = 2
+
 _PIXEL_FORMAT_STRUCT = struct.Struct(">BBBBHHHBBB3x")
 _VERSION_RE = re.compile(rb"^RFB (\d{3})\.(\d{3})\n$")
 
@@ -317,7 +322,8 @@ def decode_server_message(data, fmt: PixelFormat, screen: tuple[int, int]) -> tu
     ``fmt`` sizes raw rectangle payloads; ``screen`` is the announced
     (width, height) used to bounds-check rectangles. Returns the message
     and the bytes consumed. Never reads past a rectangle's declared
-    pixel-byte length.
+    pixel-byte length, and never waits for an update's pixels past
+    ``MAX_UPDATE_SCREENS`` screens.
     """
     _need(data, 1)
     msg_type = data[0]
@@ -325,6 +331,8 @@ def decode_server_message(data, fmt: PixelFormat, screen: tuple[int, int]) -> tu
         _need(data, 4)
         (count,) = struct.unpack(">H", data[2:4])
         screen_w, screen_h = screen
+        payload_cap = MAX_UPDATE_SCREENS * screen_w * screen_h * fmt.bytes_per_pixel
+        declared = 0
         offset = 4
         rectangles = []
         for _ in range(count):
@@ -338,6 +346,11 @@ def decode_server_message(data, fmt: PixelFormat, screen: tuple[int, int]) -> tu
                     f"rectangle ({x},{y},{w},{h}) outside {screen_w}x{screen_h} screen"
                 )
             payload_len = w * h * fmt.bytes_per_pixel
+            declared += payload_len
+            if declared > payload_cap:
+                raise ProtocolError(
+                    f"update declares over {payload_cap} pixel bytes ({MAX_UPDATE_SCREENS} screens)"
+                )
             _need(data, offset + payload_len)
             rectangles.append((Rectangle(x, y, w, h), bytes(data[offset : offset + payload_len])))
             offset += payload_len

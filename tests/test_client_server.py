@@ -92,20 +92,32 @@ def test_server_refuses_old_client_version(server_factory):
             assert count == 0
             (length,) = struct.unpack(">I", sock.recv(4))
             raise HandshakeRefusedError(sock.recv(length).decode())
+        assert sock.recv(1) == b""  # dropped, and the drop recorded first
     assert "3.8" in excinfo.value.reason
+    assert server.drops == (1, "ProtocolError: refused client version b'RFB 003.003\\n'")
 
 
 def test_server_survives_protocol_garbage(server_factory):
     server = server_factory(lockstep=True, seed=11)
-    with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
-        perform_handshake(sock)
-        sock.sendall(b"\x99garbage")  # unknown message type
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            if not sock.recv(64):
-                break
-        else:
-            pytest.fail("server did not drop the misbehaving client")
+    assert server.drops == (0, None)
+    garbage = (
+        (b"\x99garbage", "ProtocolError: unknown client message type 153"),
+        (struct.pack(">BxHi", 2, 1, 5), "ProtocolError: client does not accept raw"),  # SetEncodings
+    )
+    for count, (message, reason) in enumerate(garbage, start=1):
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+            perform_handshake(sock)
+            sock.sendall(message)
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                if not sock.recv(64):
+                    break
+            else:
+                pytest.fail("server did not drop the misbehaving client")
+        # the drop is recorded before the connection closes
+        dropped, last_reason = server.drops
+        assert dropped == count
+        assert last_reason.startswith(reason)
     # and a well-behaved client connects right afterwards
     session = connect("127.0.0.1", server.port)
     assert session.frame_counter == 1
@@ -460,6 +472,31 @@ def test_oversized_cut_text_header_raises_without_waiting():
             session.poll(DEFAULT_CONNECT_TIMEOUT)
         assert time.monotonic() - started < 1.0
         assert session.state is SessionState.CLOSED
+
+
+def test_oversized_update_header_raises_without_waiting():
+    full_screen = struct.pack(">HHHHi", 0, 0, 160, 160, 0) + bytes(160 * 160 * 4)
+    flood = struct.pack(">BxH", 0, 65535) + full_screen * 3  # 65535 full screens declared
+
+    def send(sock):
+        try:
+            sock.sendall(flood)
+        except OSError:
+            pass  # the session hung up first
+
+    server_end, client_end = socket.socketpair()
+    with server_end, client_end:
+        session = Session(client_end, ServerInit(160, 160, RGBX32, "stub"), RGBX32)
+        session.state = SessionState.READY
+        sender = threading.Thread(target=send, args=(server_end,))
+        sender.start()
+        started = time.monotonic()
+        with pytest.raises(ProtocolError):
+            session.poll(DEFAULT_CONNECT_TIMEOUT)
+        assert time.monotonic() - started < 1.0
+        assert session.state is SessionState.CLOSED
+        sender.join(timeout=5.0)
+        assert not sender.is_alive()
 
 
 # -- pixel fidelity ----------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 import fbenv.env
 from fbenv.env import EnvConfig, load_env_config, make_env, save_env_config
 from fbenv.errors import ConnectionLostError, InvalidStateError
+from fbenv.framebuffer import crop, downsample, to_grayscale
 from fbenv.keys import KEY_LEFT, KEY_RIGHT
 from fbenv.server import MockServer
 
@@ -173,6 +174,28 @@ def test_lockstep_score_counts_server_ticks(env_factory):
     ticks = server.game_state().ticks_survived
     # every tick except the fatal one pays one reward
     assert score == pytest.approx((ticks - 1) * env.config.reward_per_step)
+
+
+def test_lockstep_observations_match_the_full_frame_oracle_and_stay_frozen(env_factory):
+    region = (2, 3, 150, 151)  # neither side divides into 16 cells evenly
+    env, _ = env_factory(lockstep=True, crop=region, max_episode_steps=400)
+    rng = np.random.default_rng(4)
+
+    def oracle():
+        return downsample(crop(to_grayscale(env.session.framebuffer), *region), 16, 16)
+
+    kept = []
+    for _ in range(2):  # the second reset redraws the game over the red screen
+        kept.append((env.reset(), oracle()))
+        while True:
+            result = env.step(int(rng.integers(0, 3)))
+            kept.append((result.observation, oracle()))
+            if result.terminal:
+                break
+    assert result.terminal and not result.truncated
+    for observation, expected in kept:
+        assert observation.frame == expected
+    assert len({observation.frame.tobytes() for observation, _ in kept}) > 10
 
 
 def test_lockstep_trajectory_is_wall_clock_independent(server_factory):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fbenv.errors import UnsupportedFormatError, UpdateRejectedError
 from fbenv.framebuffer import (
     Framebuffer,
+    GrayCells,
     GrayFrame,
     apply_rectangle,
     apply_update,
@@ -20,7 +21,7 @@ from fbenv.framebuffer import (
 )
 from fbenv.wire import RGBX32, FramebufferUpdate, PixelFormat, Rectangle
 
-from helpers import BGRX32_BE, RGB565, oracle_downsample, oracle_gray
+from helpers import BGRX32_BE, RGB565, TEST_FORMATS, oracle_downsample, oracle_gray
 
 
 def gray(values) -> GrayFrame:
@@ -125,6 +126,8 @@ def test_grayscale_rejects_palette_format():
     fb = Framebuffer.blank(2, 2, palette)
     with pytest.raises(UnsupportedFormatError):
         to_grayscale(fb)
+    with pytest.raises(UnsupportedFormatError):
+        GrayCells(fb, 1, 1)
 
 
 def test_grayscale_equal_pixels_equal_values():
@@ -245,6 +248,43 @@ def test_downsample_rejects_bad_dimensions():
         downsample(frame, 0, 1)
     with pytest.raises(ValueError):
         downsample(frame, 3, 1)
+    fb = Framebuffer.blank(2, 2, RGBX32)
+    for out_w, out_h, region in ((0, 1, None), (3, 1, None), (2, 2, (1, 0, 1, 2)), (1, 1, (1, 1, 2, 1))):
+        with pytest.raises(ValueError):
+            GrayCells(fb, out_w, out_h, region)
+
+
+# -- incremental observation -------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize(
+    "fmt", TEST_FORMATS, ids=lambda fmt: f"{fmt.bits_per_pixel}bpp-be{int(fmt.big_endian)}"
+)
+def test_gray_cells_track_the_full_frame_oracle(fmt, data):
+    width, height = data.draw(st.integers(1, 24)), data.draw(st.integers(3, 24))
+    x, y = data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, height - 3))
+    w, h = data.draw(st.integers(1, width - x)), data.draw(st.integers(3, height - y))
+    # rows never divide evenly, so cell rows differ in height
+    out_w, out_h = data.draw(st.integers(1, w)), data.draw(st.integers(2, h - 1).filter(lambda n: h % n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    bpp = fmt.bytes_per_pixel
+    pixels = rng.integers(0, 256, width * height * bpp, dtype=np.uint8)
+    fb = Framebuffer(width, height, fmt, bytearray(pixels))
+    cells = GrayCells(fb, out_w, out_h, (x, y, w, h))
+    for _ in range(data.draw(st.integers(1, 6))):
+        rx, ry = data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, height - 1))
+        rw, rh = data.draw(st.integers(1, width - rx)), data.draw(st.integers(1, height - ry))
+        payload = rng.integers(0, 256, rw * rh * bpp, dtype=np.uint8).tobytes()
+        apply_rectangle(fb, Rectangle(rx, ry, rw, rh), payload)
+        if data.draw(st.booleans()):  # a write that bypasses apply_rectangle
+            fb.pixels[int(rng.integers(len(fb.pixels)))] ^= 0xFF
+        expected = downsample(crop(to_grayscale(fb), x, y, w, h), out_w, out_h)
+        observed = cells.observe()
+        assert observed == expected
+        observed.values[:] ^= 0xFF  # a caller's edit of its frame reaches no later one
+    assert cells.observe() == expected
 
 
 # -- crop / pgm --------------------------------------------------------------

@@ -16,6 +16,7 @@ from fbenv.errors import (
 )
 from fbenv.wire import (
     MAX_CUT_TEXT_LENGTH,
+    MAX_UPDATE_SCREENS,
     RGBX32,
     Bell,
     FramebufferUpdate,
@@ -295,6 +296,22 @@ def test_decode_rejects_cut_text_over_the_cap_before_its_bytes():
     message, consumed = decode_server_message(at_cap + bytes(MAX_CUT_TEXT_LENGTH), RGBX32, SCREEN)
     assert consumed == 8 + MAX_CUT_TEXT_LENGTH
     assert len(message.text) == MAX_CUT_TEXT_LENGTH
+
+
+def test_decode_caps_the_pixel_bytes_one_update_declares():
+    full_screen = struct.pack(">HHHHi", 0, 0, *SCREEN, 0) + bytes(SCREEN[0] * SCREEN[1] * 4)
+    one_pixel = struct.pack(">HHHHi", 0, 0, 1, 1, 0)
+    at_cap = full_screen * MAX_UPDATE_SCREENS
+    message, consumed = decode_server_message(
+        struct.pack(">BxH", 0, MAX_UPDATE_SCREENS) + at_cap, RGBX32, SCREEN
+    )
+    assert consumed == 4 + len(at_cap)
+    assert len(message.rectangles) == MAX_UPDATE_SCREENS
+    # one more pixel is refused from its header, before its 4 bytes arrive
+    with pytest.raises(ProtocolError):
+        decode_server_message(
+            struct.pack(">BxH", 0, MAX_UPDATE_SCREENS + 1) + at_cap + one_pixel, RGBX32, SCREEN
+        )
 
 
 def test_server_update_encode_decode_round_trip():
