@@ -56,7 +56,7 @@ def bench(
     if mode not in (MODE_FIXED, MODE_UNRESTRICTED):
         raise ValueError(f"unknown benchmark mode {mode!r}")
 
-    def no_op(frame, index):
+    def no_op(framebuffer, index):
         pass
 
     with connect(host, port) as session:
@@ -136,8 +136,8 @@ def capture_frames(host: str, port: int, count: int, out_dir) -> list[Path]:
     paths = []
     with connect(host, port) as session:
         for index in range(count):
-            frame = session.poll_frame()
+            session.poll()
             path = out / f"frame-{index:06d}.pgm"
-            write_pgm(frame, path)
+            write_pgm(session.snapshot(), path)
             paths.append(path)
     return paths

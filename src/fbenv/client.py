@@ -4,7 +4,10 @@ A session owns one TCP connection and is strictly single-owner: all
 operations run on the caller's thread, and writes hit the wire in call
 order. Two capture styles share one loop: a fixed-rate callback loop
 paced by :class:`Pacer` and an unrestricted tight poll loop that captures
-as fast as the server round-trips.
+as fast as the server round-trips. Capture converts no pixels: each
+callback gets the live :class:`~fbenv.framebuffer.Framebuffer` mirror,
+valid until it returns; :meth:`Session.snapshot` (or ``to_grayscale``)
+makes a grayscale copy on demand.
 
 :class:`Pacer` is fbenv's only absolute-deadline scheduler; the timed
 environment and the server's wall-clock ticker use it too.
@@ -45,8 +48,8 @@ from .wire import (
 
 DEFAULT_CONNECT_TIMEOUT = 5.0
 
-#: How long poll_frame waits for the server before returning the cached
-#: frame; bounds worst-case step latency in timed mode. A lockstep Env
+#: How long poll waits for an update before the cached frame stands;
+#: bounds worst-case capture and timed-mode step latency. A lockstep Env
 #: waits DEFAULT_CONNECT_TIMEOUT instead and raises, never reusing a frame.
 POLL_DEADLINE = 0.1
 
@@ -238,19 +241,25 @@ class Session:
                 return
             self._recv_into_buffer(0.0)
 
-    def _full_region(self) -> Rectangle:
-        return Rectangle(0, 0, self.width, self.height)
-
     # -- capture --------------------------------------------------------
+
+    def _request(self, incremental: bool, timeout: float) -> bool:
+        """Request an update of the whole screen and apply what arrives:
+        True once an update is applied within ``timeout`` seconds, after
+        draining whatever else has already arrived."""
+        self._require_ready()
+        region = Rectangle(0, 0, self.width, self.height)
+        self._send(encode_client_message(FramebufferUpdateRequest(incremental, region)))
+        if not self._pump_until_update(time.monotonic() + timeout):
+            return False
+        self._drain_pending()
+        return True
 
     def refresh(self, timeout: float = DEFAULT_CONNECT_TIMEOUT) -> None:
         """Request a full (non-incremental) update and apply it to
         :attr:`framebuffer`; :meth:`snapshot` reads it as gray pixels."""
-        self._require_ready()
-        self._send(encode_client_message(FramebufferUpdateRequest(False, self._full_region())))
-        if not self._pump_until_update(time.monotonic() + timeout):
+        if not self._request(False, timeout):
             raise ConnectionLostError("no framebuffer update within refresh timeout")
-        self._drain_pending()
 
     def poll(self, deadline: float = POLL_DEADLINE) -> bool:
         """Incremental update request; applies whatever the server sends.
@@ -258,28 +267,18 @@ class Session:
         True when at least one update was applied within ``deadline``
         seconds; False means the cached frame is still current.
         """
-        self._require_ready()
-        self._send(encode_client_message(FramebufferUpdateRequest(True, self._full_region())))
-        if self._pump_until_update(time.monotonic() + deadline):
-            self._drain_pending()
-            return True
-        return False
-
-    def poll_frame(self, deadline: float = POLL_DEADLINE) -> GrayFrame:
-        """Incremental update request; returns the freshest observation.
-
-        Falls back to the current cached frame when the server sends
-        nothing within ``deadline`` seconds.
-        """
-        self.poll(deadline)
-        return self.snapshot()
+        return self._request(True, deadline)
 
     def snapshot(self) -> GrayFrame:
         """Grayscale copy of the current framebuffer."""
         return to_grayscale(self.framebuffer)
 
     def run_fixed_rate(self, fps: float, callback, duration: float | None = None, stop=None) -> CaptureStats:
-        """Capture method 1: invoke ``callback(frame, index)`` at a fixed rate.
+        """Capture method 1: invoke ``callback(framebuffer, index)`` at a fixed rate.
+
+        ``framebuffer`` is the session's live mirror, valid until the
+        callback returns; copy it, or call ``to_grayscale`` on it, to keep
+        a frame.
 
         Ticks follow the :class:`Pacer` rule at ``1/fps``: ticks the loop
         falls behind are skipped, never bunched. Runs until ``duration``
@@ -299,9 +298,10 @@ class Session:
         return self._capture(callback, duration, stop, None)
 
     def _capture(self, callback, duration: float | None, stop, pacer: Pacer | None) -> CaptureStats:
-        """Poll, time the poll and hand the frame to ``callback`` until
-        ``duration`` ends, ``stop`` is set or a step raises; each frame
-        waits for ``pacer``'s next tick when one is given."""
+        """Poll, time the poll and hand the live :attr:`framebuffer`, not
+        a copy, to ``callback`` until ``duration`` ends, ``stop`` is set or
+        a step raises; each frame waits for ``pacer``'s next tick when one
+        is given."""
         if duration is not None and duration < 0:
             raise ValueError("duration must be non-negative")
         start = time.monotonic() if pacer is None else pacer.start
@@ -317,9 +317,9 @@ class Session:
                 break
             try:
                 poll_started = time.monotonic()
-                frame = self.poll_frame()
+                self.poll()
                 latencies.append(time.monotonic() - poll_started)
-                callback(frame, frames)
+                callback(self.framebuffer, frames)
             except Exception as exc:  # surfaced in stats, not raised
                 error = exc
                 break

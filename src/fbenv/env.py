@@ -106,24 +106,14 @@ class Env:
     def __init__(self, config: EnvConfig, session: Session):
         self.config = config
         self.session = session
-        self._validate_geometry()
+        px, py = config.probe_xy
+        if not (0 <= px < session.width and 0 <= py < session.height):
+            raise ValueError(f"probe {config.probe_xy} outside {session.width}x{session.height} screen")
         self._step_index = 0
         self._episode_over = False
         self._held: int | None = None
         self._pacer = Pacer(1.0 / config.tick_rate)
         self._cells = GrayCells(session.framebuffer, config.obs_width, config.obs_height, config.crop)
-
-    def _validate_geometry(self) -> None:
-        width, height = self.session.width, self.session.height
-        region = self.config.crop or (0, 0, width, height)
-        x, y, w, h = region
-        if x + w > width or y + h > height:
-            raise ValueError(f"crop {region} exceeds {width}x{height} screen")
-        if self.config.obs_width > w or self.config.obs_height > h:
-            raise ValueError("observation dimensions exceed the captured region")
-        px, py = self.config.probe_xy
-        if not (0 <= px < width and 0 <= py < height):
-            raise ValueError(f"probe {self.config.probe_xy} outside {width}x{height} screen")
 
     def close(self) -> None:
         self.session.close()

@@ -222,12 +222,6 @@ def pack_rgb(rgb: np.ndarray, fmt: PixelFormat) -> bytes:
     """
     if not fmt.true_color:
         raise UnsupportedFormatError("cannot pack RGB into a palette format")
-    layout = _byte_channel_layout(fmt)
-    if layout is not None:
-        out = np.zeros(rgb.shape[:2] + (fmt.bytes_per_pixel,), dtype=np.uint8)
-        for channel, byte in enumerate(layout):
-            out[..., byte] = rgb[..., channel]
-        return out.tobytes()
     channels = rgb.astype(np.uint64)
     word = (
         (((2 * channels[..., 0] * fmt.red_max + 255) // 510) << fmt.red_shift)

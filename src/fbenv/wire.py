@@ -46,14 +46,19 @@ MSG_SERVER_CUT_TEXT = 3
 
 ENCODING_RAW = 0
 
-#: Longest ServerCutText a client accepts; a longer declared length is a
-#: protocol error before any of its bytes are buffered.
+#: Longest text a server may declare: a ServerCutText, the desktop name
+#: in ServerInit or a handshake refusal reason. A longer declared length
+#: is a protocol error before any of its bytes are read.
 MAX_CUT_TEXT_LENGTH = 1 << 20
 
 #: Most pixel bytes one FramebufferUpdate may declare, in full screens of
 #: the negotiated format; a rectangle that takes the running total past it
 #: is a protocol error before any of its bytes are buffered.
 MAX_UPDATE_SCREENS = 2
+
+#: Largest screen, in pixels, a client accepts from ServerInit; a larger
+#: one is a protocol error before its framebuffer is allocated.
+MAX_SCREEN_PIXELS = 1 << 24
 
 _PIXEL_FORMAT_STRUCT = struct.Struct(">BBBBHHHBBB3x")
 _VERSION_RE = re.compile(rb"^RFB (\d{3})\.(\d{3})\n$")
@@ -389,7 +394,9 @@ def perform_handshake(sock) -> ServerInit:
 
     Negotiates protocol 3.8 with security type None and shared access,
     then returns the parsed ServerInit. ``sock`` needs ``recv`` and
-    ``sendall``; socket timeouts propagate to the caller.
+    ``sendall``; socket timeouts propagate to the caller. A screen over
+    ``MAX_SCREEN_PIXELS`` or a declared text over ``MAX_CUT_TEXT_LENGTH``
+    raises :class:`ProtocolError` before any of its bytes are read.
     """
     greeting = read_exact(sock, 12)
     match = _VERSION_RE.match(greeting)
@@ -402,7 +409,7 @@ def perform_handshake(sock) -> ServerInit:
 
     (n_security,) = read_exact(sock, 1)
     if n_security == 0:
-        raise HandshakeRefusedError(_read_reason(sock))
+        raise HandshakeRefusedError(_read_text(sock, "refusal reason"))
     security_types = read_exact(sock, n_security)
     if SECURITY_NONE not in security_types:
         raise UnsupportedSecurityError(
@@ -412,20 +419,24 @@ def perform_handshake(sock) -> ServerInit:
 
     (result,) = struct.unpack(">I", read_exact(sock, 4))
     if result != 0:
-        raise HandshakeRefusedError(_read_reason(sock))
+        raise HandshakeRefusedError(_read_text(sock, "refusal reason"))
 
     sock.sendall(struct.pack(">B", 1))  # ClientInit, shared access
 
     width, height = struct.unpack(">HH", read_exact(sock, 4))
+    if width * height > MAX_SCREEN_PIXELS:
+        raise ProtocolError(f"screen {width}x{height} exceeds {MAX_SCREEN_PIXELS} pixels")
     fmt = PixelFormat.unpack(read_exact(sock, 16))
-    (name_len,) = struct.unpack(">I", read_exact(sock, 4))
-    name = read_exact(sock, name_len).decode("latin-1")
+    name = _read_text(sock, "desktop name")
     try:
         return ServerInit(width, height, fmt, name)
     except ValueError as exc:
         raise ProtocolError(str(exc)) from exc
 
 
-def _read_reason(sock) -> str:
+def _read_text(sock, what: str) -> str:
+    """A length-prefixed Latin-1 text, capped at MAX_CUT_TEXT_LENGTH."""
     (length,) = struct.unpack(">I", read_exact(sock, 4))
+    if length > MAX_CUT_TEXT_LENGTH:
+        raise ProtocolError(f"{what} of {length} bytes exceeds {MAX_CUT_TEXT_LENGTH}")
     return read_exact(sock, length).decode("latin-1")

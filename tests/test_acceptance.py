@@ -123,7 +123,7 @@ def test_criterion_2_framebuffer_fidelity():
             action = int(rng.integers(0, 3))
             session.send_key(KEY_LEFT, action == 1)
             session.send_key(KEY_RIGHT, action == 2)
-            session.poll_frame()
+            session.poll()
             if tick % 25 == 0:
                 side.sendall(b"HASH\n")
                 line = b""

@@ -131,7 +131,7 @@ def test_lockstep_polls_tick_exactly_once(session_factory):
     session, server = session_factory(lockstep=True, seed=11)
     assert server.game_state().ticks_survived == 0
     for expected in range(1, 21):
-        session.poll_frame()
+        session.poll()
         assert server.game_state().ticks_survived == expected
     assert session.frame_counter == 21
 
@@ -147,16 +147,17 @@ def test_refresh_does_not_tick_in_lockstep(session_factory):
 def test_static_screen_polls_return_identical_frames(session_factory):
     # 1 Hz ticker and near-zero velocity: polls within a second see no motion
     session, _ = session_factory(tick_rate=1.0, seed=11)
-    first = session.poll_frame()
-    second = session.poll_frame()
-    assert first == second
+    session.poll()
+    first = session.snapshot()
+    session.poll()
+    assert session.snapshot() == first
 
 
 def test_poll_on_closed_session_raises(session_factory):
     session, _ = session_factory(lockstep=True)
     session.close()
     with pytest.raises(InvalidStateError):
-        session.poll_frame()
+        session.poll()
     with pytest.raises(InvalidStateError):
         session.send_key(KEY_LEFT, True)
 
@@ -165,7 +166,7 @@ def test_frame_counter_is_non_decreasing(session_factory):
     session, _ = session_factory(lockstep=True, seed=11)
     seen = [session.frame_counter]
     for _ in range(10):
-        session.poll_frame()
+        session.poll()
         seen.append(session.frame_counter)
     session.refresh()
     seen.append(session.frame_counter)
@@ -180,7 +181,7 @@ def test_press_key_writes_down_then_up_on_the_wire():
     try:
         session = connect("127.0.0.1", recorder.port)
         session.press_key(KEY_LEFT)
-        session.poll_frame()
+        session.poll()
         time.sleep(0.3)
         session.close()
     finally:
@@ -240,7 +241,7 @@ def test_held_keys_steer_the_paddle(session_factory):
     for _ in range(30):
         if server.game_state().terminal:
             break
-        session.poll_frame()
+        session.poll()
     left_state = server.game_state()
     assert left_state.tilt == -1
     session.close()
@@ -250,7 +251,7 @@ def test_held_keys_steer_the_paddle(session_factory):
     for _ in range(30):
         if server2.game_state().terminal:
             break
-        session2.poll_frame()
+        session2.poll()
     right_state = server2.game_state()
     assert right_state.tilt == 1
     assert left_state.position < right_state.position
@@ -549,6 +550,36 @@ def test_incremental_rectangles_are_the_byte_diff_bounding_box(server_factory, m
             assert rects == ([] if box is None else [box])
 
 
+def test_capture_callbacks_get_the_live_framebuffer(session_factory):
+    session, _ = session_factory(lockstep=True, auto_reset=True, seed=11)
+    seen = []
+
+    def record(framebuffer, index):
+        seen.append((framebuffer, framebuffer.generation))
+
+    stats = session.run_unrestricted(record, 0.3)
+    assert stats.error is None
+    assert stats.frames_delivered == len(seen) > 1
+    assert all(framebuffer is session.framebuffer for framebuffer, _ in seen)
+    # one lockstep poll is one update: generation 1 is connect's
+    assert [generation for _, generation in seen] == list(range(2, 2 + len(seen)))
+
+
+def test_capture_converts_no_pixels(session_factory, monkeypatch):
+    session, _ = session_factory(tick_rate=30.0, seed=11)
+
+    def refuse(framebuffer):
+        raise AssertionError("capture converted a frame to grayscale")
+
+    monkeypatch.setattr(fbenv.client, "to_grayscale", refuse)
+    for stats in (
+        session.run_fixed_rate(30, lambda framebuffer, index: None, duration=0.3),
+        session.run_unrestricted(lambda framebuffer, index: None, 0.3),
+    ):
+        assert stats.error is None
+        assert stats.frames_delivered > 0
+
+
 def test_client_buffer_matches_server_hash_over_random_play(session_factory):
     session, server = session_factory(lockstep=True, auto_reset=True, seed=23)
     rng = np.random.default_rng(23)
@@ -563,7 +594,7 @@ def test_client_buffer_matches_server_hash_over_random_play(session_factory):
         else:
             session.send_key(KEY_LEFT, False)
             session.send_key(KEY_RIGHT, False)
-        session.poll_frame()
+        session.poll()
         if tick % 20 == 19:
             digest, generation = side_channel_hash(server.side_channel_port)
             assert generation == session.frame_counter

@@ -33,6 +33,14 @@ def test_probe_outside_screen_is_a_config_error(server_factory):
         make_env(EnvConfig(port=server.port, probe_xy=(200, 5)))
 
 
+def test_crop_and_observation_must_fit_the_screen(server_factory):
+    server = server_factory(lockstep=True)
+    with pytest.raises(ValueError, match="exceeds"):
+        make_env(EnvConfig(port=server.port, crop=(100, 100, 100, 100), probe_xy=(105, 105)))
+    with pytest.raises(ValueError, match="larger"):
+        make_env(EnvConfig(port=server.port, crop=(0, 0, 10, 10), probe_xy=(5, 5)))
+
+
 def test_crop_must_contain_probe():
     with pytest.raises(ValueError):
         EnvConfig(crop=(50, 50, 20, 20), probe_xy=(5, 5))

@@ -21,7 +21,7 @@ from fbenv.framebuffer import (
 )
 from fbenv.wire import RGBX32, FramebufferUpdate, PixelFormat, Rectangle
 
-from helpers import BGRX32_BE, RGB565, TEST_FORMATS, oracle_downsample, oracle_gray
+from helpers import BGRX32_BE, RGB332, RGB565, TEST_FORMATS, oracle_downsample, oracle_gray
 
 
 def gray(values) -> GrayFrame:
@@ -180,8 +180,21 @@ def test_grayscale_big_endian_format():
 
 
 def test_pack_rgb_canonical_byte_order():
-    block = np.array([[[1, 2, 3]]], dtype=np.uint8)
-    assert pack_rgb(block, RGBX32) == bytes([3, 2, 1, 0])
+    block = np.array([[[1, 2, 3], [200, 100, 50], [255, 255, 255]]], dtype=np.uint8)
+    expected = {
+        # R<<16 | G<<8 | B, little-endian words
+        RGBX32: bytes([3, 2, 1, 0, 50, 100, 200, 0, 255, 255, 255, 0]),
+        # B<<16 | G<<8 | R, big-endian words
+        BGRX32_BE: bytes([0, 3, 2, 1, 0, 50, 100, 200, 0, 255, 255, 255]),
+        # (200, 100, 50) rounds to (24, 25, 6) of (31, 63, 31):
+        # 24<<11 | 25<<5 | 6 = 0xC326, little-endian
+        RGB565: bytes([0, 0, 0x26, 0xC3, 0xFF, 0xFF]),
+        # (200, 100, 50) rounds to (5, 3, 1) of (7, 7, 3): 5<<5 | 3<<2 | 1
+        RGB332: bytes([0, 0xAD, 0xFF]),
+    }
+    assert set(expected) == set(TEST_FORMATS)
+    for fmt, packed in expected.items():
+        assert pack_rgb(block, fmt) == packed, fmt
 
 
 def test_pixel_rgb_reads_back_packed_values():

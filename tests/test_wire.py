@@ -1,6 +1,7 @@
 """Codec unit tests: frozen byte layouts, round trips, handshake transcripts."""
 
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from fbenv.errors import (
 )
 from fbenv.wire import (
     MAX_CUT_TEXT_LENGTH,
+    MAX_SCREEN_PIXELS,
     MAX_UPDATE_SCREENS,
     RGBX32,
     Bell,
@@ -418,3 +420,46 @@ def test_handshake_rejects_malformed_greeting():
     sock = ScriptedSocket(handshake_script(greeting=b"HTTP/1.1 200\n"))
     with pytest.raises(ProtocolError):
         perform_handshake(sock)
+
+
+def _declared_length(script: bytes, length: int, unread: bytes) -> bytes:
+    """``script``, which ends in an empty length-prefixed text, with that
+    text's length replaced by ``length`` and followed by ``unread``."""
+    return script[:-4] + struct.pack(">I", length) + unread
+
+
+def test_handshake_caps_the_declared_name_length():
+    unread = b"first name bytes"
+    sock = ScriptedSocket(_declared_length(handshake_script(name=b""), 0xFFFFFFFF, unread))
+    with pytest.raises(ProtocolError):
+        perform_handshake(sock)
+    assert sock.recv(64) == unread  # raised before reading any of the name
+    at_cap = b"n" * MAX_CUT_TEXT_LENGTH
+    assert perform_handshake(ScriptedSocket(handshake_script(name=at_cap))).name == at_cap.decode()
+
+
+@pytest.mark.parametrize("refusal", [{"security_types": b""}, {"security_result": 1}])
+def test_handshake_caps_the_declared_refusal_reason(refusal):
+    unread = b"first reason bytes"
+    script = handshake_script(reason=b"", **refusal)
+    sock = ScriptedSocket(_declared_length(script, MAX_CUT_TEXT_LENGTH + 1, unread))
+    with pytest.raises(ProtocolError):
+        perform_handshake(sock)
+    assert sock.recv(64) == unread
+
+
+def test_handshake_refuses_an_oversized_screen_before_allocating_it():
+    # 65535 x 65535 x 4 bytes would be a 17 GB framebuffer; connect()
+    # builds its Session only after perform_handshake returns
+    sock = ScriptedSocket(handshake_script(width=65535, height=65535))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProtocolError):
+            perform_handshake(sock)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert sock.recv(16) == RGBX32.pack()  # nothing after the size was read
+    info = perform_handshake(ScriptedSocket(handshake_script(width=4096, height=MAX_SCREEN_PIXELS // 4096)))
+    assert info.width * info.height == MAX_SCREEN_PIXELS
