@@ -191,15 +191,19 @@ def discretize(observation: Observation, previous: Observation | None) -> int:
     observation (0 when there is none). Featureless frames map to the
     reserved BLANK_KEY.
     """
-    column = ball_column(observation.frame)
+    previous_column = None if previous is None else ball_column(previous.frame)
+    return _state_key(ball_column(observation.frame), previous_column, observation.frame.width)
+
+
+def _state_key(column: int | None, previous_column: int | None, width: int) -> int:
+    """:func:`discretize` from the ball columns of a frame of ``width``
+    columns and of the frame before it."""
     if column is None:
         return BLANK_KEY
-    position_bin = column * N_POSITION_BINS // observation.frame.width
+    position_bin = column * N_POSITION_BINS // width
     delta = 0
-    if previous is not None:
-        previous_column = ball_column(previous.frame)
-        if previous_column is not None:
-            delta = max(-MAX_COLUMN_DELTA, min(MAX_COLUMN_DELTA, column - previous_column))
+    if previous_column is not None:
+        delta = max(-MAX_COLUMN_DELTA, min(MAX_COLUMN_DELTA, column - previous_column))
     return position_bin * N_VELOCITY_BINS + delta + MAX_COLUMN_DELTA
 
 
@@ -249,7 +253,8 @@ def train(env: Env, config: AgentConfig, episodes: int) -> tuple[QTable, TrainRe
 
     Fully deterministic for a lockstep environment and fixed seeds. An
     environment error aborts training; the partial report carries it in
-    ``report.error``.
+    ``report.error``. Each observation's ball column is found once and
+    carried to the next step's key, which :func:`discretize` gives too.
     """
     if episodes < 1:
         raise ValueError("need at least one episode")
@@ -263,13 +268,16 @@ def train(env: Env, config: AgentConfig, episodes: int) -> tuple[QTable, TrainRe
     try:
         for _ in range(episodes):
             observation = env.reset()
-            key = discretize(observation, None)
+            column = ball_column(observation.frame)
+            key = _state_key(column, None, observation.frame.width)
             score = 0.0
             while True:
                 eps = epsilon(config.schedule, steps_total)
                 action = select_action(q, key, eps, rng)
                 result = env.step(action)
-                next_key = discretize(result.observation, observation)
+                frame = result.observation.frame
+                next_column = ball_column(frame)
+                next_key = _state_key(next_column, column, frame.width)
                 # truncation is not a real terminal: keep the bootstrap
                 game_over = result.terminal and not result.truncated
                 update_q(
@@ -286,7 +294,7 @@ def train(env: Env, config: AgentConfig, episodes: int) -> tuple[QTable, TrainRe
                 assert abs(q.row(key)[action]) <= reward_ceiling / (1.0 - config.discount) + 1e-9
                 steps_total += 1
                 score += result.reward
-                observation = result.observation
+                column = next_column
                 key = next_key
                 if result.terminal:
                     break

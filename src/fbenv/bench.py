@@ -30,7 +30,6 @@ class BenchReport:
     frame_width: int
     frame_height: int
     bits_per_pixel: int
-    bytes_processed: int
     cpu_seconds: float
     cpu_ratio: float
     peak_rss_bytes: int
@@ -79,7 +78,6 @@ def bench(
         frame_width=width,
         frame_height=height,
         bits_per_pixel=bits,
-        bytes_processed=stats.frames_delivered * width * height * (bits // 8),
         cpu_seconds=cpu_seconds,
         cpu_ratio=cpu_seconds / stats.wall_time if stats.wall_time > 0 else 0.0,
         peak_rss_bytes=_peak_rss_bytes(),
@@ -100,7 +98,6 @@ def format_report(report: BenchReport, machine: bool = False) -> str:
             f"width={report.frame_width}",
             f"height={report.frame_height}",
             f"bits_per_pixel={report.bits_per_pixel}",
-            f"bytes_processed={report.bytes_processed}",
             f"cpu_seconds={report.cpu_seconds:.6f}",
             f"cpu_ratio={report.cpu_ratio:.6f}",
             f"peak_rss_bytes={report.peak_rss_bytes}",
@@ -115,7 +112,6 @@ def format_report(report: BenchReport, machine: bool = False) -> str:
         ("frames", str(report.frames)),
         ("achieved fps", f"{report.achieved_fps:.1f}"),
         ("frame size", f"{report.frame_width}x{report.frame_height}x{report.bits_per_pixel}"),
-        ("bytes processed", str(report.bytes_processed)),
         ("cpu time", f"{report.cpu_seconds:.2f} s ({100 * report.cpu_ratio:.1f}%)"),
         ("peak rss", f"{report.peak_rss_bytes / (1 << 20):.1f} MiB"),
         ("latency p50/p99", f"{report.latency_p50_ms:.2f} / {report.latency_p99_ms:.2f} ms"),

@@ -2,9 +2,12 @@
 
 A session owns one TCP connection and is strictly single-owner: all
 operations run on the caller's thread, and writes hit the wire in call
-order. Two capture styles share one loop: a fixed-rate callback loop
-paced by :class:`Pacer` and an unrestricted tight poll loop that captures
-as fast as the server round-trips. Capture converts no pixels: each
+order. :meth:`Session.queue_key` holds key events back until the next
+write (an update request, another input event or :meth:`Session.flush`),
+so a lockstep step's keys and its request share one ``sendall``. Two
+capture styles share one loop: a fixed-rate callback loop paced by
+:class:`Pacer` and an unrestricted tight poll loop that captures as fast
+as the server round-trips. Capture converts no pixels: each
 callback gets the live :class:`~fbenv.framebuffer.Framebuffer` mirror,
 valid until it returns; :meth:`Session.snapshot` (or ``to_grayscale``)
 makes a grayscale copy on demand.
@@ -135,6 +138,7 @@ class Session:
         self.framebuffer = Framebuffer.blank(server_init.width, server_init.height, fmt)
         self.state = SessionState.CONNECTING
         self._buffer = bytearray()
+        self._queued = bytearray()  # encoded input events not yet written
 
     @property
     def width(self) -> int:
@@ -169,6 +173,10 @@ class Session:
             raise InvalidStateError(f"session is {self.state.value}, not ready")
 
     def _send(self, payload: bytes) -> None:
+        """Write the queued input events, then ``payload``, in one sendall."""
+        if self._queued:
+            payload = bytes(self._queued) + payload
+            self._queued.clear()
         try:
             self._sock.sendall(payload)
         except OSError as exc:
@@ -264,6 +272,7 @@ class Session:
     def poll(self, deadline: float = POLL_DEADLINE) -> bool:
         """Incremental update request; applies whatever the server sends.
 
+        Queued key events go out in the same write, ahead of the request.
         True when at least one update was applied within ``deadline``
         seconds; False means the cached frame is still current.
         """
@@ -338,8 +347,19 @@ class Session:
     # -- input ----------------------------------------------------------
 
     def send_key(self, keysym: int, down: bool) -> None:
+        """Write one key event now, after any queued ones."""
         self._require_ready()
         self._send(encode_client_message(KeyEvent(down, keysym)))
+
+    def queue_key(self, keysym: int, down: bool) -> None:
+        """Queue one key event for the session's next write."""
+        self._require_ready()
+        self._queued += encode_client_message(KeyEvent(down, keysym))
+
+    def flush(self) -> None:
+        """Write the queued key events now."""
+        if self._queued:
+            self._send(b"")
 
     def press_key(self, keysym: int) -> None:
         """Key tap: down then up, written back-to-back."""

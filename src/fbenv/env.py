@@ -10,15 +10,19 @@ by probing one framebuffer pixel for the server's solid-red
 terminal screen, and reward accrues per surviving step (default 1/30 so
 a second survived is worth one point at the standard tick rate).
 
-Actions latch: each step sends key-down for its direction and key-up for
-the previously held one, so exactly one directional key is ever held.
-In lockstep mode a step is exactly one game tick and trajectories are
+Actions latch: a step that changes action queues key-up for the
+previously held key and key-down for its own, so exactly one directional
+key is ever held. In lockstep mode the queued keys go out in the same
+write as the step's update request, so a step costs one write and one
+server wake; it is exactly one game tick, and trajectories are
 independent of wall-clock speed: a step waits up to
 ``DEFAULT_CONNECT_TIMEOUT`` for its update and raises
 :class:`~fbenv.errors.ConnectionLostError` if none comes, rather than
-reuse the cached frame. In timed mode steps are paced to the
-configured tick rate by :class:`fbenv.client.Pacer`, whose grid restarts
-at each reset.
+reuse the cached frame. In timed mode the keys are written before the
+step waits for its tick, so the server's ticker sees them on time, and
+steps are paced to the configured tick rate by
+:class:`fbenv.client.Pacer`, whose grid restarts at each reset. A reset
+writes its key-up, its reset key tap and its refresh request at once.
 """
 
 from __future__ import annotations
@@ -146,9 +150,10 @@ class Env:
     def reset(self) -> Observation:
         """Start a fresh episode and return its first observation."""
         if self._held is not None:
-            self.session.send_key(self._held, False)
+            self.session.queue_key(self._held, False)
             self._held = None
-        self.session.press_key(self.config.reset_keysym)
+        self.session.queue_key(self.config.reset_keysym, True)
+        self.session.queue_key(self.config.reset_keysym, False)
         deadline = time.monotonic() + RESET_DEADLINE
         while True:
             self.session.refresh()
@@ -172,14 +177,15 @@ class Env:
         keysym = self.config.actions[action_id]
         if keysym != self._held:
             if self._held is not None:
-                self.session.send_key(self._held, False)
+                self.session.queue_key(self._held, False)
             if keysym is not None:
-                self.session.send_key(keysym, True)
+                self.session.queue_key(keysym, True)
             self._held = keysym
         if self.config.lockstep:
             if not self.session.poll(DEFAULT_CONNECT_TIMEOUT):
                 raise ConnectionLostError(f"no lockstep update within {DEFAULT_CONNECT_TIMEOUT:g} s")
         else:
+            self.session.flush()
             self._pacer.wait()
             self.session.poll()
         terminal = self._probe_terminal()

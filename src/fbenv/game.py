@@ -128,6 +128,18 @@ def render(state: GameState, fmt: PixelFormat = RGBX32) -> Framebuffer:
     return fb
 
 
+def drawn_rows(state: GameState) -> tuple[int, int]:
+    """Rows ``[top, bottom)`` outside which ``render(state)`` is all
+    background: every row for a terminal state, else the ball's rows and
+    the paddle's rows at the state's tilt."""
+    if state.terminal:
+        return 0, SCREEN_HEIGHT
+    reach = PADDLE_END_OFFSET * abs(state.tilt)
+    top = min(BALL_TOP_ROW, PADDLE_ROW - reach)
+    bottom = max(BALL_TOP_ROW + BALL_SIZE, PADDLE_ROW + reach + PADDLE_THICKNESS)
+    return top, bottom
+
+
 @functools.lru_cache(maxsize=8)
 def _colour_words(fmt: PixelFormat) -> tuple[np.generic, np.generic]:
     """White and the terminal red as ``fmt`` words."""

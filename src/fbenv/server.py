@@ -14,7 +14,10 @@ render) and the mirror (what the client has been sent). Both are
 ``(height, width)`` arrays of one word per pixel in the negotiated
 format (:func:`fbenv.framebuffer.word_dtype`), so an incremental update
 is the bounding box of the words that differ, and its ``tobytes()`` is
-the raw rectangle payload as RFC 6143 sends it.
+the raw rectangle payload as RFC 6143 sends it. Each frame keeps the band
+of rows outside which it is all background (:func:`fbenv.game.drawn_rows`
+for the canonical frame), so the diff compares only the rows of the two
+bands.
 
 A diagnostic side channel on a second TCP port answers the line "HASH"
 with the FNV-1a hash of the framebuffer as of the last update sent plus
@@ -97,8 +100,10 @@ class MockServer:
         self._game = game.new_game(game.episode_seed(self.config.seed, 0))
         self._format = RGBX32
         self._held: set[int] = set()
-        self._canonical = self._render()
+        self._redraw()
         self._mirror = self._canonical.copy()
+        # rows [top, bottom) outside which the mirror is all background
+        self._mirror_rows = self._canonical_rows
         self._dirty = False  # canonical changed since the mirror was synced
         self._generation = 0
 
@@ -185,14 +190,21 @@ class MockServer:
 
     # -- game state (all callers hold the lock) -------------------------
 
-    def _render(self) -> np.ndarray:
-        return game.render(self._game, self._format).as_words()
+    def _redraw(self) -> None:
+        self._canonical = game.render(self._game, self._format).as_words()
+        self._canonical_rows = game.drawn_rows(self._game)
+        self._dirty = True
+
+    def _zero_mirror(self) -> None:
+        """Forget what the client holds; an all-background mirror fits
+        any band."""
+        self._mirror = np.zeros_like(self._canonical)
+        self._mirror_rows = self._canonical_rows
 
     def _reset_episode(self) -> None:
         self._episode += 1
         self._game = game.new_game(game.episode_seed(self.config.seed, self._episode))
-        self._canonical = self._render()
-        self._dirty = True
+        self._redraw()
 
     def _tilt(self) -> int:
         return (-1 if KEY_LEFT in self._held else 0) + (1 if KEY_RIGHT in self._held else 0)
@@ -203,8 +215,7 @@ class MockServer:
                 self._reset_episode()
             return
         self._game = game.step_game(self._game, self._tilt())
-        self._canonical = self._render()
-        self._dirty = True
+        self._redraw()
 
     def game_state(self) -> game.GameState:
         """Snapshot of the current game state (diagnostics and tests)."""
@@ -240,9 +251,8 @@ class MockServer:
         self._handshake(conn)
         with self._lock:
             self._format = RGBX32
-            self._canonical = self._render()
-            self._mirror = np.zeros_like(self._canonical)
-            self._dirty = True
+            self._redraw()
+            self._zero_mirror()
             self._generation = 0
         buffer = bytearray()
         conn.settimeout(None)  # an idle client is kept; SO_SNDTIMEO bounds sends
@@ -283,8 +293,9 @@ class MockServer:
 
     def _dispatch(self, conn: socket.socket, message) -> None:
         """Apply one client message; one the server will not serve raises
-        ProtocolError, which drops the client. A PointerEvent is accepted
-        and ignored: the game has no pointer controls."""
+        ProtocolError, which drops the client. A PointerEvent or a
+        ClientCutText is accepted and ignored: the game has no pointer
+        controls and no clipboard."""
         if isinstance(message, FramebufferUpdateRequest):
             conn.sendall(self._update_payload(message.incremental))
         elif isinstance(message, KeyEvent):
@@ -309,9 +320,8 @@ class MockServer:
             raise ProtocolError("palette pixel formats are not served")
         with self._lock:
             self._format = fmt
-            self._canonical = self._render()
-            self._mirror = np.zeros_like(self._canonical)
-            self._dirty = True
+            self._redraw()
+            self._zero_mirror()
 
     def _update_payload(self, incremental: bool) -> bytes:
         with self._lock:
@@ -323,20 +333,27 @@ class MockServer:
                 full = Rectangle(0, 0, game.SCREEN_WIDTH, game.SCREEN_HEIGHT)
                 rectangles = [(full, self._canonical.tobytes())]
                 self._mirror[:] = self._canonical
+                self._mirror_rows = self._canonical_rows
                 self._dirty = False
             self._generation += 1
             return encode_framebuffer_update(rectangles)
 
     def _diff_rectangles(self) -> list[tuple[Rectangle, bytes]]:
+        """The bounding box of the words that differ, copied into the
+        mirror. Outside both frames' bands both are background, so only
+        the rows spanning the two bands are compared."""
         if not self._dirty:
             return []
         self._dirty = False
-        changed = self._canonical != self._mirror
+        top = min(self._canonical_rows[0], self._mirror_rows[0])
+        bottom = max(self._canonical_rows[1], self._mirror_rows[1])
+        self._mirror_rows = self._canonical_rows  # once the box below is copied, mirror == canonical
+        changed = self._canonical[top:bottom] != self._mirror[top:bottom]
         rows = np.flatnonzero(changed.any(axis=1))
         if rows.size == 0:
             return []
         cols = np.flatnonzero(changed.any(axis=0))
-        y0, y1 = int(rows[0]), int(rows[-1]) + 1
+        y0, y1 = top + int(rows[0]), top + int(rows[-1]) + 1
         x0, x1 = int(cols[0]), int(cols[-1]) + 1
         region = self._canonical[y0:y1, x0:x1]
         self._mirror[y0:y1, x0:x1] = region

@@ -1,7 +1,8 @@
 """Byte-exact codec for the RFB 3.8 subset this harness speaks.
 
-Covers the 3.8 handshake with security type None, the five standard
-client-to-server messages, and server-to-client messages limited to raw
+Covers the 3.8 handshake with security type None, the six standard
+client-to-server messages (ClientCutText is decoded only: the client
+never sends one), and server-to-client messages limited to raw
 (encoding 0) framebuffer updates, Bell and ServerCutText. All multi-byte
 integers are big-endian on the wire.
 
@@ -37,6 +38,7 @@ MSG_SET_ENCODINGS = 2
 MSG_FRAMEBUFFER_UPDATE_REQUEST = 3
 MSG_KEY_EVENT = 4
 MSG_POINTER_EVENT = 5
+MSG_CLIENT_CUT_TEXT = 6
 
 # server-to-client message types
 MSG_FRAMEBUFFER_UPDATE = 0
@@ -46,9 +48,9 @@ MSG_SERVER_CUT_TEXT = 3
 
 ENCODING_RAW = 0
 
-#: Longest text a server may declare: a ServerCutText, the desktop name
-#: in ServerInit or a handshake refusal reason. A longer declared length
-#: is a protocol error before any of its bytes are read.
+#: Longest text a peer may declare: a ClientCutText, a ServerCutText, the
+#: desktop name in ServerInit or a handshake refusal reason. A longer
+#: declared length is a protocol error before any of its bytes are read.
 MAX_CUT_TEXT_LENGTH = 1 << 20
 
 #: Most pixel bytes one FramebufferUpdate may declare, in full screens of
@@ -186,7 +188,14 @@ class PointerEvent:
     y: int
 
 
-ClientMessage = SetPixelFormat | SetEncodings | FramebufferUpdateRequest | KeyEvent | PointerEvent
+@dataclass(frozen=True)
+class ClientCutText:
+    text: str
+
+
+ClientMessage = (
+    SetPixelFormat | SetEncodings | FramebufferUpdateRequest | KeyEvent | PointerEvent | ClientCutText
+)
 
 
 @dataclass(frozen=True)
@@ -296,7 +305,22 @@ def decode_client_message(data) -> tuple[ClientMessage, int]:
         _need(data, 6)
         mask, x, y = struct.unpack(">BHH", data[1:6])
         return PointerEvent(mask, x, y), 6
+    if msg_type == MSG_CLIENT_CUT_TEXT:
+        text, consumed = _decode_cut_text(data)
+        return ClientCutText(text), consumed
     raise ProtocolError(f"unknown client message type {msg_type}")
+
+
+def _decode_cut_text(data) -> tuple[str, int]:
+    """The Latin-1 text of a client or server cut-text message (type,
+    three pad bytes, U32 length, text) and the bytes it spans; a length
+    over MAX_CUT_TEXT_LENGTH raises ProtocolError from the 8-byte header."""
+    _need(data, 8)
+    (length,) = struct.unpack(">I", data[4:8])
+    if length > MAX_CUT_TEXT_LENGTH:
+        raise ProtocolError(f"cut text of {length} bytes exceeds {MAX_CUT_TEXT_LENGTH}")
+    _need(data, 8 + length)
+    return bytes(data[8 : 8 + length]).decode("latin-1"), 8 + length
 
 
 def encode_framebuffer_update(rectangles) -> bytes:
@@ -310,15 +334,6 @@ def encode_framebuffer_update(rectangles) -> bytes:
         parts.append(struct.pack(">HHHHi", rect.x, rect.y, rect.width, rect.height, rect.encoding))
         parts.append(bytes(payload))
     return b"".join(parts)
-
-
-def encode_server_cut_text(text: str) -> bytes:
-    payload = text.encode("latin-1")
-    return struct.pack(">B3xI", MSG_SERVER_CUT_TEXT, len(payload)) + payload
-
-
-def encode_bell() -> bytes:
-    return struct.pack(">B", MSG_BELL)
 
 
 def decode_server_message(data, fmt: PixelFormat, screen: tuple[int, int]) -> tuple[ServerMessage, int]:
@@ -367,12 +382,8 @@ def decode_server_message(data, fmt: PixelFormat, screen: tuple[int, int]) -> tu
     if msg_type == MSG_BELL:
         return Bell(), 1
     if msg_type == MSG_SERVER_CUT_TEXT:
-        _need(data, 8)
-        (length,) = struct.unpack(">I", data[4:8])
-        if length > MAX_CUT_TEXT_LENGTH:
-            raise ProtocolError(f"cut text of {length} bytes exceeds {MAX_CUT_TEXT_LENGTH}")
-        _need(data, 8 + length)
-        return ServerCutText(bytes(data[8 : 8 + length]).decode("latin-1")), 8 + length
+        text, consumed = _decode_cut_text(data)
+        return ServerCutText(text), consumed
     raise ProtocolError(f"unknown server message type {msg_type}")
 
 

@@ -37,7 +37,6 @@ def test_fixed_rate_bench_report_identities(server_factory):
     server = server_factory(tick_rate=30.0, seed=11)
     report = bench(MODE_FIXED, 2.0, "127.0.0.1", server.port, fps=30.0)
     assert 0.9 * 60 <= report.frames <= 1.05 * 60
-    assert report.bytes_processed == report.frames * 160 * 160 * 4
     assert report.achieved_fps == pytest.approx(report.frames / report.duration)
     assert report.cpu_seconds >= 0.0
     assert report.mode == MODE_FIXED and report.target_fps == 30.0

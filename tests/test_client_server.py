@@ -20,9 +20,20 @@ from fbenv.errors import (
 )
 from fbenv.fnv import fnv1a64
 from fbenv.keys import KEY_LEFT, KEY_RIGHT, KEY_SPACE
-from fbenv.wire import RGBX32, ServerInit, perform_handshake
+from fbenv.framebuffer import Framebuffer
+from fbenv.game import render
+from fbenv.wire import (
+    MAX_CUT_TEXT_LENGTH,
+    RGBX32,
+    FramebufferUpdate,
+    ServerInit,
+    SetPixelFormat,
+    decode_server_message,
+    encode_client_message,
+    perform_handshake,
+)
 
-from helpers import TEST_FORMATS, reference_parse_client_message, RecordingServer
+from helpers import TEST_FORMATS, encode_client_cut_text, reference_parse_client_message, RecordingServer
 
 
 def side_channel_hash(port: int) -> tuple[int, int]:
@@ -103,6 +114,8 @@ def test_server_survives_protocol_garbage(server_factory):
     garbage = (
         (b"\x99garbage", "ProtocolError: unknown client message type 153"),
         (struct.pack(">BxHi", 2, 1, 5), "ProtocolError: client does not accept raw"),  # SetEncodings
+        # a ClientCutText header declaring one byte over the cap, none of it sent
+        (struct.pack(">B3xI", 6, MAX_CUT_TEXT_LENGTH + 1), "ProtocolError: cut text of 1048577 bytes"),
     )
     for count, (message, reason) in enumerate(garbage, start=1):
         with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
@@ -122,6 +135,26 @@ def test_server_survives_protocol_garbage(server_factory):
     session = connect("127.0.0.1", server.port)
     assert session.frame_counter == 1
     session.close()
+
+
+def test_server_ignores_client_cut_text(server_factory):
+    server = server_factory(lockstep=True, seed=11)
+    cut_text = encode_client_cut_text("copied to the clipboard")
+    request = struct.pack(">BBHHHH", 3, 0, 0, 0, 160, 160)  # full update request
+    update_length = 4 + 12 + 160 * 160 * 4
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+        perform_handshake(sock)
+        sock.sendall(cut_text[:5])  # the header arrives split
+        time.sleep(0.05)
+        sock.sendall(cut_text[5:] + request)
+        reply = b""
+        while len(reply) < update_length:
+            chunk = sock.recv(65536)
+            assert chunk, "server dropped a client that sent ClientCutText"
+            reply += chunk
+    message, consumed = decode_server_message(reply, RGBX32, (160, 160))
+    assert isinstance(message, FramebufferUpdate) and consumed == update_length
+    assert server.drops == (0, None)
 
 
 # -- polling and lockstep ----------------------------------------------------
@@ -212,6 +245,7 @@ def test_input_events_preserve_call_order():
         session = connect("127.0.0.1", recorder.port)
         center = (recorder.width // 2, recorder.height // 2)
         session.send_key(KEY_LEFT, True)
+        session.queue_key(KEY_RIGHT, True)  # written ahead of the next event
         session.send_pointer(*center, button_mask=1)
         session.send_pointer(*center, button_mask=0)
         session.send_key(KEY_LEFT, False)
@@ -228,6 +262,7 @@ def test_input_events_preserve_call_order():
         if kind in ("key_event", "pointer_event"):
             sequence.append((kind, fields.get("down", fields.get("mask"))))
     assert sequence == [
+        ("key_event", 1),
         ("key_event", 1),
         ("pointer_event", 1),
         ("pointer_event", 0),
@@ -520,6 +555,14 @@ def bounding_box(changed: np.ndarray) -> tuple[int, int, int, int] | None:
     return int(cols[0]), int(rows[0]), int(cols[-1] - cols[0] + 1), int(rows[-1] - rows[0] + 1)
 
 
+def switch_format(session, fmt) -> None:
+    """Send SetPixelFormat mid-session. The server forgets what the client
+    holds, so the client starts over from a blank frame in ``fmt``."""
+    session._send(encode_client_message(SetPixelFormat(fmt)))
+    session.format = fmt
+    session.framebuffer = Framebuffer.blank(session.width, session.height, fmt)
+
+
 def test_incremental_rectangles_are_the_byte_diff_bounding_box(server_factory, monkeypatch):
     server = server_factory(lockstep=True, auto_reset=True, seed=29)
     updates = []
@@ -531,19 +574,52 @@ def test_incremental_rectangles_are_the_byte_diff_bounding_box(server_factory, m
         updates.append((before, fb.as_array().copy(), update))
         return fb
 
+    def poll(session):
+        """One lockstep tick; the client's frame must then be the render
+        of the server's game state."""
+        assert session.poll(DEFAULT_CONNECT_TIMEOUT)
+        expected = render(server.game_state(), session.format)
+        assert session.framebuffer.pixels == expected.pixels
+
     monkeypatch.setattr(fbenv.client, "apply_update", recording_apply_update)
-    for fmt in TEST_FORMATS:
+    for index, fmt in enumerate(TEST_FORMATS):
         rng = np.random.default_rng(fmt.bits_per_pixel + fmt.big_endian)
         with connect("127.0.0.1", server.port, requested_format=fmt) as session:
             updates.clear()
             for _ in range(200):
                 steer_randomly(session, rng)
-                assert session.poll(DEFAULT_CONNECT_TIMEOUT)
+                poll(session)
             digest, generation = side_channel_hash(server.side_channel_port)
             assert generation == session.frame_counter == 201
             assert digest == fnv1a64(bytes(session.framebuffer.pixels))
-        assert len(updates) == 200
-        assert sum(bool(update.rectangles) for _, _, update in updates) > 100
+            assert len(updates) == 200
+            assert sum(bool(update.rectangles) for _, _, update in updates) > 100
+            # mid-session transitions: a terminal frame and the auto-reset
+            # after it, a space-key reset, then a SetPixelFormat
+            session.send_key(KEY_RIGHT, False)
+            session.send_key(KEY_LEFT, True)
+            for _ in range(100):
+                poll(session)
+                if server.game_state().terminal:
+                    break
+            assert server.game_state().terminal
+            poll(session)
+            assert server.game_state().ticks_survived == 0
+            session.send_key(KEY_LEFT, False)
+            for _ in range(5):
+                poll(session)
+            episode = server.episode
+            session.press_key(KEY_SPACE)
+            poll(session)
+            assert server.episode == episode + 1
+            polls = len(updates)
+            switch_format(session, TEST_FORMATS[(index + 1) % len(TEST_FORMATS)])
+            for _ in range(20):
+                steer_randomly(session, rng)
+                poll(session)
+            digest, generation = side_channel_hash(server.side_channel_port)
+            assert generation == 1 + polls + 20 and session.frame_counter == 20
+            assert digest == fnv1a64(bytes(session.framebuffer.pixels))
         for before, after, update in updates:
             box = bounding_box((before != after).any(axis=2))
             rects = [(r.x, r.y, r.width, r.height) for r, _ in update.rectangles]

@@ -10,10 +10,10 @@ import fbenv.env
 from fbenv.env import EnvConfig, load_env_config, make_env, save_env_config
 from fbenv.errors import ConnectionLostError, InvalidStateError
 from fbenv.framebuffer import crop, downsample, to_grayscale
-from fbenv.keys import KEY_LEFT, KEY_RIGHT
+from fbenv.keys import KEY_LEFT, KEY_RIGHT, KEY_SPACE
 from fbenv.server import MockServer
 
-from helpers import oracle_start_position, oracle_survival_ticks
+from helpers import oracle_start_position, oracle_survival_ticks, reference_parse_client_message
 
 LEFT_ACTION = 1
 RIGHT_ACTION = 2
@@ -269,6 +269,89 @@ def test_action_latching_holds_one_key(env_factory):
     assert server.game_state().tilt == 1
     env.step(NOOP_ACTION)
     assert server.game_state().tilt == 0
+
+
+class RecordingSocket:
+    """Socket proxy that logs each ``sendall`` as the list of (kind,
+    fields) of the client messages it carries."""
+
+    def __init__(self, sock, writes: list):
+        self._sock = sock
+        self._writes = writes
+
+    def sendall(self, payload):
+        messages, offset = [], 0
+        while offset < len(payload):
+            kind, fields, consumed = reference_parse_client_message(payload[offset:])
+            messages.append((kind, fields))
+            offset += consumed
+        self._writes.append(messages)
+        self._sock.sendall(payload)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def record_writes(env) -> list:
+    writes = []
+    env.session._sock = RecordingSocket(env.session._sock, writes)
+    return writes
+
+
+def key(keysym, down):
+    return ("key_event", {"down": int(down), "keysym": keysym})
+
+
+def test_lockstep_step_is_one_write(env_factory):
+    env, server = env_factory(server_kwargs={"lockstep": True, "seed": 31}, lockstep=True)
+    writes = record_writes(env)
+    env.reset()
+    assert [[kind for kind, _ in write] for write in writes] == [
+        ["key_event", "key_event", "update_request"]
+    ]
+    assert writes[0][:2] == [key(KEY_SPACE, True), key(KEY_SPACE, False)]
+    actions = itertools.cycle([LEFT_ACTION, RIGHT_ACTION, NOOP_ACTION, RIGHT_ACTION])
+    expected_keys = {  # (previous action, action) -> key events of the step
+        (NOOP_ACTION, LEFT_ACTION): [key(KEY_LEFT, True)],
+        (LEFT_ACTION, RIGHT_ACTION): [key(KEY_LEFT, False), key(KEY_RIGHT, True)],
+        (RIGHT_ACTION, NOOP_ACTION): [key(KEY_RIGHT, False)],
+        (NOOP_ACTION, RIGHT_ACTION): [key(KEY_RIGHT, True)],
+        (RIGHT_ACTION, LEFT_ACTION): [key(KEY_RIGHT, False), key(KEY_LEFT, True)],
+    }
+    previous = NOOP_ACTION
+    for _ in range(12):
+        action = next(actions)
+        writes.clear()
+        result = env.step(action)
+        assert len(writes) == 1
+        *keys, (kind, fields) = writes[0]
+        assert keys == expected_keys[previous, action]
+        assert kind == "update_request" and fields["incremental"] == 1
+        assert server.game_state().tilt == {NOOP_ACTION: 0, LEFT_ACTION: -1, RIGHT_ACTION: 1}[action]
+        assert not result.terminal
+        previous = action
+
+
+def test_timed_step_writes_its_keys_before_the_tick_wait(env_factory, monkeypatch):
+    env, _ = env_factory(
+        server_kwargs={"tick_rate": 30.0, "seed": 31}, lockstep=False, tick_rate=30.0
+    )
+    env.reset()
+    writes = record_writes(env)
+    wait = env._pacer.wait
+
+    def recording_wait(*args):
+        writes.append("wait")
+        return wait(*args)
+
+    monkeypatch.setattr(env._pacer, "wait", recording_wait)
+    env.step(LEFT_ACTION)
+    env.step(RIGHT_ACTION)
+    request = ("update_request", {"incremental": 1, "x": 0, "y": 0, "width": 160, "height": 160})
+    assert writes == [
+        [key(KEY_LEFT, True)], "wait", [request],
+        [key(KEY_LEFT, False), key(KEY_RIGHT, True)], "wait", [request],
+    ]
 
 
 def test_timed_mode_paces_steps(env_factory):

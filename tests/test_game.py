@@ -17,6 +17,7 @@ from fbenv.game import (
     SCREEN_WIDTH,
     GameState,
     ball_center_column,
+    drawn_rows,
     episode_seed,
     new_game,
     render,
@@ -259,6 +260,25 @@ def test_render_matches_rgb_oracle_in_every_format(fmt, p, tilt, terminal):
     fb = render(g, fmt)
     assert fb.format == fmt
     assert bytes(fb.pixels) == oracle_render(g, fmt)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    fmt=st.sampled_from(TEST_FORMATS),
+    p=st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, -0.99, 0.99, 1.0])),
+    tilt=st.sampled_from([-1, 0, 1]),
+    terminal=st.booleans(),
+)
+def test_drawn_rows_bound_every_drawn_pixel(fmt, p, tilt, terminal):
+    g = state(p=p, tilt=tilt, terminal=terminal)
+    top, bottom = drawn_rows(g)
+    assert 0 <= top < bottom <= SCREEN_HEIGHT
+    if terminal:
+        assert (top, bottom) == (0, SCREEN_HEIGHT)
+    # black packs to 0 in every format, so background rows are all-zero bytes
+    rows = np.frombuffer(oracle_render(g, fmt), dtype=np.uint8).reshape(SCREEN_HEIGHT, -1)
+    assert not rows[:top].any() and not rows[bottom:].any()
+    assert rows[top].any() and rows[bottom - 1].any()  # and the band is tight
 
 
 # -- scoring -----------------------------------------------------------------

@@ -21,6 +21,7 @@ from fbenv.wire import (
     MAX_UPDATE_SCREENS,
     RGBX32,
     Bell,
+    ClientCutText,
     FramebufferUpdate,
     FramebufferUpdateRequest,
     KeyEvent,
@@ -32,14 +33,19 @@ from fbenv.wire import (
     SetPixelFormat,
     decode_client_message,
     decode_server_message,
-    encode_bell,
     encode_client_message,
     encode_framebuffer_update,
-    encode_server_cut_text,
     perform_handshake,
 )
 
-from helpers import ScriptedSocket, handshake_script, reference_parse_client_message
+from helpers import (
+    ScriptedSocket,
+    encode_bell,
+    encode_client_cut_text,
+    encode_server_cut_text,
+    handshake_script,
+    reference_parse_client_message,
+)
 
 SCREEN = (160, 160)
 
@@ -284,20 +290,30 @@ def test_decode_cut_text():
     message, consumed = decode_server_message(encode_server_cut_text("hi"), RGBX32, SCREEN)
     assert message == ServerCutText("hi")
     assert consumed == 10
+    message, consumed = decode_client_message(encode_client_cut_text("héllo") + b"\x04")
+    assert message == ClientCutText("héllo")
+    assert consumed == 13
 
 
 def test_decode_rejects_cut_text_over_the_cap_before_its_bytes():
-    header = struct.pack(">B3xI", 3, MAX_CUT_TEXT_LENGTH + 1)
-    with pytest.raises(ProtocolError):
-        decode_server_message(header, RGBX32, SCREEN)
-    with pytest.raises(ProtocolError):
-        decode_server_message(struct.pack(">B3xI", 3, 0xFFFFFFFF), RGBX32, SCREEN)
-    at_cap = struct.pack(">B3xI", 3, MAX_CUT_TEXT_LENGTH)
-    with pytest.raises(IncompleteMessageError):
-        decode_server_message(at_cap, RGBX32, SCREEN)
-    message, consumed = decode_server_message(at_cap + bytes(MAX_CUT_TEXT_LENGTH), RGBX32, SCREEN)
-    assert consumed == 8 + MAX_CUT_TEXT_LENGTH
-    assert len(message.text) == MAX_CUT_TEXT_LENGTH
+    decoders = (
+        (3, lambda data: decode_server_message(data, RGBX32, SCREEN)),  # ServerCutText
+        (6, decode_client_message),  # ClientCutText
+    )
+    for msg_type, decode in decoders:
+        header = struct.pack(">B3xI", msg_type, MAX_CUT_TEXT_LENGTH + 1)
+        with pytest.raises(ProtocolError):
+            decode(header)
+        with pytest.raises(ProtocolError):
+            decode(struct.pack(">B3xI", msg_type, 0xFFFFFFFF))
+        at_cap = struct.pack(">B3xI", msg_type, MAX_CUT_TEXT_LENGTH)
+        with pytest.raises(IncompleteMessageError):
+            decode(at_cap)
+        with pytest.raises(IncompleteMessageError):
+            decode(at_cap + bytes(MAX_CUT_TEXT_LENGTH - 1))
+        message, consumed = decode(at_cap + bytes(MAX_CUT_TEXT_LENGTH))
+        assert consumed == 8 + MAX_CUT_TEXT_LENGTH
+        assert len(message.text) == MAX_CUT_TEXT_LENGTH
 
 
 def test_decode_caps_the_pixel_bytes_one_update_declares():
@@ -363,11 +379,12 @@ def test_decode_server_message_fuzz(fmt, data):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_fuzz_bytes([0, 2, 3, 4, 5]))
+@given(_fuzz_bytes([0, 2, 3, 4, 5, 6]))
 def test_decode_client_message_fuzz(data):
     message = _decode_or_typed_error(decode_client_message, data)
     assert message is None or isinstance(
-        message, (SetPixelFormat, SetEncodings, FramebufferUpdateRequest, KeyEvent, PointerEvent)
+        message,
+        (SetPixelFormat, SetEncodings, FramebufferUpdateRequest, KeyEvent, PointerEvent, ClientCutText),
     )
 
 
