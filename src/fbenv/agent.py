@@ -149,6 +149,8 @@ class QTable:
             fields = dict(
                 part.split("=", 1) for part in header.lstrip("# ").split() if "=" in part
             )
+            if "n_actions" not in fields:
+                raise ValueError(f"{path} is not a Q-table file: no n_actions header")
             table = cls(int(fields["n_actions"]))
             for line in handle:
                 if not line.strip():

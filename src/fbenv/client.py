@@ -4,13 +4,15 @@ A session owns one TCP connection and is strictly single-owner: all
 operations run on the caller's thread, and writes hit the wire in call
 order. :meth:`Session.queue_key` holds key events back until the next
 write (an update request, another input event or :meth:`Session.flush`),
-so a lockstep step's keys and its request share one ``sendall``. Two
-capture styles share one loop: a fixed-rate callback loop paced by
-:class:`Pacer` and an unrestricted tight poll loop that captures as fast
-as the server round-trips. Capture converts no pixels: each
-callback gets the live :class:`~fbenv.framebuffer.Framebuffer` mirror,
-valid until it returns; :meth:`Session.snapshot` (or ``to_grayscale``)
-makes a grayscale copy on demand.
+so a lockstep step's keys and its request share one ``sendall``. Each
+request runs one receive loop: it waits for an update, then applies
+what else has already arrived. Two capture styles share one loop: a
+fixed-rate callback loop paced by :class:`Pacer` and an unrestricted
+tight poll loop that captures as fast as the server round-trips.
+Capture converts no pixels: each callback gets the live
+:class:`~fbenv.framebuffer.Framebuffer` mirror, valid until it returns;
+:meth:`Session.snapshot` (or ``to_grayscale``) makes a grayscale copy
+on demand.
 
 :class:`Pacer` is fbenv's only absolute-deadline scheduler; the timed
 environment and the server's wall-clock ticker use it too.
@@ -184,11 +186,12 @@ class Session:
             raise ConnectionLostError(f"send failed: {exc}") from exc
 
     def _recv_into_buffer(self, timeout: float) -> bool:
-        """Pull one chunk off the socket; False if nothing arrived in time."""
+        """Pull one chunk off the socket; False if nothing arrived within
+        ``timeout`` seconds (none at all once it is zero or less)."""
         try:
             self._sock.settimeout(max(timeout, 0.0))
             chunk = self._sock.recv(65536)
-        except (TimeoutError, socket.timeout):
+        except (TimeoutError, socket.timeout, BlockingIOError):
             return False
         except OSError as exc:
             self.close()
@@ -215,53 +218,31 @@ class Session:
         del self._buffer[:consumed]
         return message
 
-    def _handle(self, message) -> bool:
-        """Apply a framebuffer update and return True; side messages
-        (Bell, ServerCutText) are dropped."""
-        if isinstance(message, FramebufferUpdate):
-            apply_update(self.framebuffer, message)
-            return True
-        return False
-
-    def _pump_until_update(self, deadline: float) -> bool:
-        """Process messages until one update is applied or the deadline hits."""
-        while True:
-            message = self._decode_buffered()
-            if message is not None:
-                if self._handle(message):
-                    return True
-                continue
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return False
-            if not self._recv_into_buffer(remaining):
-                return False
-
-    def _drain_pending(self) -> None:
-        """Apply whatever complete messages have already arrived."""
-        while True:
-            message = self._decode_buffered()
-            if message is not None:
-                self._handle(message)
-                continue
-            readable, _, _ = select.select([self._sock], [], [], 0)
-            if not readable:
-                return
-            self._recv_into_buffer(0.0)
-
     # -- capture --------------------------------------------------------
 
     def _request(self, incremental: bool, timeout: float) -> bool:
-        """Request an update of the whole screen and apply what arrives:
-        True once an update is applied within ``timeout`` seconds, after
-        draining whatever else has already arrived."""
+        """Request an update of the whole screen and apply what arrives.
+
+        Each FramebufferUpdate is applied; Bell and ServerCutText are
+        dropped. Until one update is applied the loop receives for up to
+        ``timeout`` seconds; after that it reads only what has already
+        arrived. True once an update is applied.
+        """
         self._require_ready()
         region = Rectangle(0, 0, self.width, self.height)
         self._send(encode_client_message(FramebufferUpdateRequest(incremental, region)))
-        if not self._pump_until_update(time.monotonic() + timeout):
-            return False
-        self._drain_pending()
-        return True
+        deadline = time.monotonic() + timeout
+        applied = False
+        while True:
+            message = self._decode_buffered()
+            if isinstance(message, FramebufferUpdate):
+                apply_update(self.framebuffer, message)
+                applied = True
+            elif message is None:
+                if applied and not select.select([self._sock], [], [], 0)[0]:
+                    return True
+                if not self._recv_into_buffer(0.0 if applied else deadline - time.monotonic()):
+                    return False
 
     def refresh(self, timeout: float = DEFAULT_CONNECT_TIMEOUT) -> None:
         """Request a full (non-incremental) update and apply it to
@@ -348,8 +329,8 @@ class Session:
 
     def send_key(self, keysym: int, down: bool) -> None:
         """Write one key event now, after any queued ones."""
-        self._require_ready()
-        self._send(encode_client_message(KeyEvent(down, keysym)))
+        self.queue_key(keysym, down)
+        self.flush()
 
     def queue_key(self, keysym: int, down: bool) -> None:
         """Queue one key event for the session's next write."""
@@ -362,12 +343,9 @@ class Session:
             self._send(b"")
 
     def press_key(self, keysym: int) -> None:
-        """Key tap: down then up, written back-to-back."""
-        self._require_ready()
-        self._send(
-            encode_client_message(KeyEvent(True, keysym))
-            + encode_client_message(KeyEvent(False, keysym))
-        )
+        """Key tap: down then up, in one write."""
+        self.queue_key(keysym, True)
+        self.send_key(keysym, False)
 
     def send_pointer(self, x: int, y: int, button_mask: int = 0) -> None:
         self._require_ready()

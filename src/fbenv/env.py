@@ -240,6 +240,12 @@ def _parse_action(token: str) -> int | None:
     return int(token, 0)
 
 
+def _parse_lockstep(value: str) -> bool:
+    if value.lower() not in ("true", "false"):
+        raise ValueError(f"lockstep must be true or false, got {value!r}")
+    return value.lower() == "true"
+
+
 def save_env_config(config: EnvConfig, path) -> None:
     """Write a config as one `key = value` per line."""
     lines = [
@@ -288,7 +294,7 @@ def load_env_config(path) -> EnvConfig:
         "reward_per_step": float,
         "tick_rate": float,
         "reset_keysym": lambda v: int(v, 0),
-        "lockstep": lambda v: v.lower() == "true",
+        "lockstep": _parse_lockstep,
         "actions": lambda v: tuple(_parse_action(t) for t in v.split(",")),
         "crop": lambda v: tuple(int(t) for t in v.split(",")),
     }

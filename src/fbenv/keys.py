@@ -11,11 +11,3 @@ KEY_LEFT = 0xFF51
 KEY_UP = 0xFF52
 KEY_RIGHT = 0xFF53
 KEY_DOWN = 0xFF54
-
-
-def keysym_for_char(char: str) -> int:
-    """Keysym for a printable ASCII character."""
-    code = ord(char)
-    if not 0x20 <= code <= 0x7E:
-        raise ValueError(f"no keysym mapping for {char!r}")
-    return code

@@ -14,15 +14,17 @@ render) and the mirror (what the client has been sent). Both are
 ``(height, width)`` arrays of one word per pixel in the negotiated
 format (:func:`fbenv.framebuffer.word_dtype`), so an incremental update
 is the bounding box of the words that differ, and its ``tobytes()`` is
-the raw rectangle payload as RFC 6143 sends it. Each frame keeps the band
-of rows outside which it is all background (:func:`fbenv.game.drawn_rows`
-for the canonical frame), so the diff compares only the rows of the two
-bands.
+the raw rectangle payload as RFC 6143 sends it. ``_shown`` records the
+game state whose render the mirror holds (None for an all-background
+mirror). An update sends nothing while it is the current state, and
+otherwise compares only the rows :func:`fbenv.game.drawn_rows` gives for
+the two states, since every other row is background in both frames.
 
 A diagnostic side channel on a second TCP port answers the line "HASH"
 with the FNV-1a hash of the framebuffer as of the last update sent plus
 the update count, letting tests verify client/server pixel fidelity
-without touching the RFB stream. One RFB client is served at a time; a
+without touching the RFB stream; a line over MAX_SIDE_CHANNEL_LINE
+bytes drops that client. One RFB client is served at a time; a
 protocol violation drops that client and the server keeps listening.
 :attr:`MockServer.drops` counts the connections dropped on an error and
 keeps the last one's reason.
@@ -66,6 +68,7 @@ from .errors import FbenvError, IncompleteMessageError, ProtocolError
 
 SERVER_NAME = "multitask-lite"
 STALL_TIMEOUT = 10  # seconds a stalled peer may hold a connection
+MAX_SIDE_CHANNEL_LINE = 64  # bytes in one side-channel line; a longer one drops the client
 
 
 @dataclass
@@ -101,10 +104,7 @@ class MockServer:
         self._format = RGBX32
         self._held: set[int] = set()
         self._redraw()
-        self._mirror = self._canonical.copy()
-        # rows [top, bottom) outside which the mirror is all background
-        self._mirror_rows = self._canonical_rows
-        self._dirty = False  # canonical changed since the mirror was synced
+        self._zero_mirror()
         self._generation = 0
 
     # -- lifecycle ------------------------------------------------------
@@ -192,14 +192,11 @@ class MockServer:
 
     def _redraw(self) -> None:
         self._canonical = game.render(self._game, self._format).as_words()
-        self._canonical_rows = game.drawn_rows(self._game)
-        self._dirty = True
 
     def _zero_mirror(self) -> None:
-        """Forget what the client holds; an all-background mirror fits
-        any band."""
+        """Forget what the client holds."""
         self._mirror = np.zeros_like(self._canonical)
-        self._mirror_rows = self._canonical_rows
+        self._shown: game.GameState | None = None  # state rendered in the mirror
 
     def _reset_episode(self) -> None:
         self._episode += 1
@@ -333,21 +330,21 @@ class MockServer:
                 full = Rectangle(0, 0, game.SCREEN_WIDTH, game.SCREEN_HEIGHT)
                 rectangles = [(full, self._canonical.tobytes())]
                 self._mirror[:] = self._canonical
-                self._mirror_rows = self._canonical_rows
-                self._dirty = False
+                self._shown = self._game
             self._generation += 1
             return encode_framebuffer_update(rectangles)
 
     def _diff_rectangles(self) -> list[tuple[Rectangle, bytes]]:
         """The bounding box of the words that differ, copied into the
-        mirror. Outside both frames' bands both are background, so only
-        the rows spanning the two bands are compared."""
-        if not self._dirty:
+        mirror. Only the rows spanning the drawn rows of the shown and
+        the current state can differ."""
+        if self._shown is self._game:
             return []
-        self._dirty = False
-        top = min(self._canonical_rows[0], self._mirror_rows[0])
-        bottom = max(self._canonical_rows[1], self._mirror_rows[1])
-        self._mirror_rows = self._canonical_rows  # once the box below is copied, mirror == canonical
+        top, bottom = game.drawn_rows(self._game)
+        if self._shown is not None:
+            shown_top, shown_bottom = game.drawn_rows(self._shown)
+            top, bottom = min(top, shown_top), max(bottom, shown_bottom)
+        self._shown = self._game  # once the box below is copied, mirror == canonical
         changed = self._canonical[top:bottom] != self._mirror[top:bottom]
         rows = np.flatnonzero(changed.any(axis=1))
         if rows.size == 0:
@@ -364,9 +361,10 @@ class MockServer:
     def _serve_side_channel(self, conn: socket.socket) -> None:
         pending = b""
         while chunk := conn.recv(4096):
-            pending += chunk
-            while b"\n" in pending:
-                line, pending = pending.split(b"\n", 1)
+            *lines, pending = (pending + chunk).split(b"\n")
+            if max(len(line) for line in (*lines, pending)) > MAX_SIDE_CHANNEL_LINE:
+                raise ProtocolError(f"side-channel line over {MAX_SIDE_CHANNEL_LINE} bytes")
+            for line in lines:
                 if line.strip() == b"HASH":
                     with self._lock:  # hash a copy, so the game never waits on FNV
                         mirror = self._mirror.tobytes()

@@ -152,7 +152,6 @@ class Rectangle:
     y: int
     width: int
     height: int
-    encoding: int = ENCODING_RAW
 
     def __post_init__(self):
         if self.width < 0 or self.height < 0:
@@ -331,7 +330,7 @@ def encode_framebuffer_update(rectangles) -> bytes:
     """
     parts = [struct.pack(">BxH", MSG_FRAMEBUFFER_UPDATE, len(rectangles))]
     for rect, payload in rectangles:
-        parts.append(struct.pack(">HHHHi", rect.x, rect.y, rect.width, rect.height, rect.encoding))
+        parts.append(struct.pack(">HHHHi", rect.x, rect.y, rect.width, rect.height, ENCODING_RAW))
         parts.append(bytes(payload))
     return b"".join(parts)
 

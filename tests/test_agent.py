@@ -286,6 +286,13 @@ def test_discretizer_keys_cover_expected_range():
 # -- persistence ---------------------------------------------------------------
 
 
+def test_qtable_load_names_a_file_without_the_header(tmp_path):
+    path = tmp_path / "not-a-table.tsv"
+    path.write_text("0\t1.0 2.0 3.0\n")
+    with pytest.raises(ValueError, match="not-a-table.tsv"):
+        QTable.load(path)
+
+
 def test_qtable_save_load_round_trip(tmp_path):
     q = QTable(3)
     rng = np.random.default_rng(3)

@@ -77,6 +77,16 @@ def test_play_greedy_requires_table(server_factory, capsys):
     assert code == 1
 
 
+def test_play_greedy_rejects_a_table_without_a_header(tmp_path, capsys):
+    path = tmp_path / "bad.tsv"
+    path.write_text("not a q-table\n")
+    code = main(["play", "--policy", "greedy", "--q", str(path), "--episodes", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fbenv play: ") and "bad.tsv is not a Q-table file" in err
+    assert "Traceback" not in err
+
+
 def test_train_then_play_greedy(server_factory, tmp_path, capsys):
     server = server_factory(lockstep=True, seed=3)
     table_path = tmp_path / "q.tsv"

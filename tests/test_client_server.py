@@ -497,6 +497,32 @@ def test_side_messages_do_not_count_as_updates():
         recorder.stop()
 
 
+def test_poll_applies_every_update_that_has_arrived():
+    def update(width: int, height: int, fill: int) -> bytes:
+        """One raw rectangle at the origin."""
+        header = struct.pack(">BxHHHHHi", 0, 1, 0, 0, width, height, 0)
+        return header + bytes([fill]) * (width * height * 4)
+
+    # the first update is exactly one 65536-byte receive, so the other two
+    # are still on the socket, not in the session's buffer, once it is applied
+    first = update(126, 130, 0x11)
+    assert len(first) == 65536
+    server_end, client_end = socket.socketpair()
+    with server_end, client_end:
+        session = Session(client_end, ServerInit(160, 160, RGBX32, "stub"), RGBX32)
+        session.state = SessionState.READY
+        server_end.sendall(first + update(4, 4, 0x22) + update(2, 2, 0x33))
+        before = session.frame_counter
+        assert session.poll(DEFAULT_CONNECT_TIMEOUT)
+        assert session.frame_counter == before + 3
+        assert len(server_end.recv(64)) == 10  # one update request was written
+    words = session.framebuffer.as_words()
+    assert (words[:2, :2] == 0x33333333).all()
+    assert (words[2:4, 2:4] == 0x22222222).all()
+    assert (words[4:130, 4:126] == 0x11111111).all()
+    assert (words[130:, :] == 0).all() and (words[:, 126:] == 0).all()
+
+
 def test_oversized_cut_text_header_raises_without_waiting():
     server_end, client_end = socket.socketpair()
     with server_end, client_end:
@@ -675,6 +701,23 @@ def test_client_buffer_matches_server_hash_over_random_play(session_factory):
             digest, generation = side_channel_hash(server.side_channel_port)
             assert generation == session.frame_counter
             assert digest == fnv1a64(bytes(session.framebuffer.pixels))
+
+
+def test_side_channel_drops_an_over_long_line(server_factory):
+    server = server_factory(lockstep=True, seed=11)
+    with socket.create_connection(("127.0.0.1", server.side_channel_port), timeout=5.0) as sock:
+        try:
+            sock.sendall(b"H" * (1 << 20))  # 1 MiB and no newline
+        except OSError:
+            pass  # the server hung up mid-send
+        try:
+            while sock.recv(64):
+                pass
+        except ConnectionResetError:
+            pass  # closed with the rest of the line unread
+    limit = fbenv.server.MAX_SIDE_CHANNEL_LINE
+    assert server.drops == (1, f"ProtocolError: side-channel line over {limit} bytes")
+    assert side_channel_hash(server.side_channel_port)[1] == 0  # a new connection is served
 
 
 def test_hash_query_does_not_hold_the_game_lock(session_factory, monkeypatch):

@@ -432,3 +432,14 @@ def test_config_rejects_malformed_line(tmp_path):
     path.write_text("just some words\n")
     with pytest.raises(ValueError):
         load_env_config(path)
+
+
+@pytest.mark.parametrize("value", ["yes", "1", "on", ""])
+def test_config_rejects_a_malformed_lockstep_value(tmp_path, value):
+    path = tmp_path / "env.cfg"
+    path.write_text(f"lockstep = {value}\n")
+    with pytest.raises(ValueError, match="lockstep"):
+        load_env_config(path)
+    for flag, expected in (("TRUE", True), ("False", False)):
+        path.write_text(f"lockstep = {flag}\n")
+        assert load_env_config(path).lockstep is expected
