@@ -3,9 +3,12 @@
 The framebuffer mirrors the server screen byte-for-byte in the negotiated
 pixel format. Observations are derived from it: true-color pixels are
 reduced to 8-bit luminance and box-filtered down to a small grid.
-:func:`to_grayscale` and :func:`downsample` do this for a whole frame;
-:class:`GrayCells` gives the same values while redoing only the cell rows
-whose pixels changed since it last looked.
+:func:`to_grayscale` and :func:`downsample` do this for a whole frame,
+in integer arithmetic; they are also the reference the tests hold
+:class:`GrayCells` to. :class:`GrayCells` gives the same values while
+converting only the rows whose pixels changed since it last looked and
+re-averaging only the cell rows they fall in, with float arithmetic
+whose every result is exact (the argument is in its docstring).
 
 Rounding is half-up everywhere (x -> floor(x + 0.5)) so every value here
 can be reproduced exactly by an integer-arithmetic oracle.
@@ -249,20 +252,6 @@ def _cell_grid(width: int, height: int, out_width: int, out_height: int) -> tupl
     return row_edges, col_edges, np.outer(np.diff(row_edges), np.diff(col_edges))
 
 
-def _box_means(
-    values: np.ndarray, row_starts: np.ndarray, col_starts: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
-    """Mean of ``values`` over each cell, given the cells' first rows and
-    columns (the first of each 0) and pixel counts, rounded half-up in
-    exact integer arithmetic."""
-    sums = np.add.reduceat(values, col_starts, axis=1, dtype=np.int64)
-    sums = np.add.reduceat(sums, row_starts, axis=0)
-    sums *= 2
-    sums += counts
-    sums //= 2 * counts
-    return sums.astype(np.uint8)
-
-
 def downsample(frame: GrayFrame, out_width: int, out_height: int) -> GrayFrame:
     """Box-filter mean over each source cell, rounded half-up.
 
@@ -271,7 +260,9 @@ def downsample(frame: GrayFrame, out_width: int, out_height: int) -> GrayFrame:
     computed in exact integer arithmetic.
     """
     row_edges, col_edges, counts = _cell_grid(frame.width, frame.height, out_width, out_height)
-    return GrayFrame(out_width, out_height, _box_means(frame.values, row_edges[:-1], col_edges[:-1], counts))
+    sums = np.add.reduceat(frame.values, col_edges[:-1], axis=1, dtype=np.int64)
+    sums = np.add.reduceat(sums, row_edges[:-1], axis=0)
+    return GrayFrame(out_width, out_height, ((2 * sums + counts) // (2 * counts)).astype(np.uint8))
 
 
 class GrayCells:
@@ -279,42 +270,91 @@ class GrayCells:
     from the rows that change.
 
     :meth:`observe` returns exactly ``downsample(crop(to_grayscale(fb),
-    *region), out_width, out_height)``, but converts and averages only
-    the cell rows holding a pixel word that differs from the previous
-    call. Changes are found by comparing words, so any writer of
-    ``fb.pixels`` is seen, not only :func:`apply_update`.
+    *region), out_width, out_height)``. Each call compares every word of
+    the region with its copy from the call before, so any writer of
+    ``fb.pixels`` is seen, not only :func:`apply_update`. Only the rows
+    from the first to the last changed one are converted to luma, into a
+    kept gray image, and only the cell rows they fall in are summed
+    again, as products with two 0/1 summing matrices of ``out_height x
+    height`` and ``width x out_width`` floats.
+
+    Exactness of the float arithmetic:
+
+    - Luma, for formats whose channels are whole bytes: ``299 R + 587 G
+      + 114 B + 500`` is an integer at most 255500, and so is every
+      partial sum, all below 2^24, so float32 holds each exactly in any
+      summing order. The true quotient by 1000 is either an integer,
+      which division returns exactly, or at least 1/1000 from one, while
+      a correctly rounded float32 quotient below 256 is off by at most
+      256 * 2^-24 < 1/1000. Its floor is therefore exact. Other formats
+      use the integer :func:`_luma`.
+    - Cell means: a cell of ``count`` pixels sums integers of at most 255,
+      and every partial sum is an integer below 255 * 2^24 (screens are
+      capped at 2^24 pixels), exact in float64. ``(sum + count / 2) /
+      count`` is either an integer or at least 1/(2 count) from one, and
+      its correctly rounded quotient is off by at most 256 * 2^-53,
+      which is less than 1/(2 count) for every count below 2^44. Its
+      floor is therefore the half-up mean.
+    - Both floors are taken by the cast to uint8, which truncates, the
+      same as a floor for these non-negative values.
     """
 
     def __init__(self, fb: Framebuffer, out_width: int, out_height: int, region=None):
         x, y, width, height = region or (0, 0, fb.width, fb.height)
         if width < 1 or height < 1 or x < 0 or y < 0 or x + width > fb.width or y + height > fb.height:
             raise ValueError(f"region {region} exceeds {fb.width}x{fb.height}")
+        row_edges, col_edges, counts = _cell_grid(width, height, out_width, out_height)
         self._fb = fb
-        self._y = y
-        self._window = np.s_[y : y + height, x : x + width]
-        self._row_edges, col_edges, self._counts = _cell_grid(width, height, out_width, out_height)
-        self._col_starts = col_edges[:-1]
-        # the cell row of each pixel row, as Python ints for cheap lookups
-        self._row_cell = np.repeat(np.arange(out_height), np.diff(self._row_edges)).tolist()
-        self._words = fb.as_words()[self._window].copy()
-        gray = _luma(fb, self._window)
-        self._cells = _box_means(gray, self._row_edges[:-1], self._col_starts, self._counts)
+        self._y, self._columns, self._width = y, slice(x, x + width), width
+        window = np.s_[y : y + height, x : x + width]
+        self._live = fb.as_words()[window]
+        self._words = self._live.copy()
+        self._changed = np.empty((height, width), dtype=bool)
+        layout = _byte_channel_layout(fb.format)
+        self._pixels = None
+        if layout is not None:
+            self._pixels = fb.as_array()[window]
+            self._luma_weights = np.zeros(fb.format.bytes_per_pixel, dtype=np.float32)
+            self._luma_weights[list(layout)] = (299, 587, 114)
+        # the cell row of each pixel row, and the cell column of each pixel column
+        row_cell = np.repeat(np.arange(out_height), np.diff(row_edges))
+        col_cell = np.repeat(np.arange(out_width), np.diff(col_edges))
+        self._row_sum = (row_cell == np.arange(out_height)[:, None]).astype(np.float64)
+        self._col_sum = (col_cell[:, None] == np.arange(out_width)).astype(np.float64)
+        self._row_cell, self._row_edges = row_cell.tolist(), row_edges.tolist()
+        self._half_counts, self._counts = counts / 2, counts.astype(np.float64)
+        self._gray = np.empty((height, width), dtype=np.uint8)
+        self._cells = np.empty((out_height, out_width), dtype=np.uint8)
+        self._refresh(0, height)
 
     def observe(self) -> GrayFrame:
         """The region's cell means now, as a new frame."""
-        words = self._fb.as_words()[self._window]
-        rows = np.flatnonzero((words != self._words).any(axis=1))
-        if rows.size:
-            edges = self._row_edges
-            first, end = self._row_cell[rows[0]], self._row_cell[rows[-1]] + 1
-            top, bottom = int(edges[first]), int(edges[end])
-            self._words[top:bottom] = words[top:bottom]
-            band = _luma(self._fb, np.s_[self._y + top : self._y + bottom, self._window[1]])
-            self._cells[first:end] = _box_means(
-                band, edges[first:end] - top, self._col_starts, self._counts[first:end]
-            )
+        np.not_equal(self._live, self._words, out=self._changed)
+        flags = self._changed.tobytes()  # one 0 or 1 byte per word, row by row
+        first = flags.find(1)
+        if first >= 0:
+            top, bottom = first // self._width, flags.rfind(1) // self._width + 1
+            self._words[top:bottom] = self._live[top:bottom]
+            self._refresh(top, bottom)
         out_height, out_width = self._cells.shape
         return GrayFrame(out_width, out_height, self._cells.copy())
+
+    def _refresh(self, top: int, bottom: int) -> None:
+        """Convert region rows ``[top, bottom)`` to luma and average the
+        cell rows they fall in again."""
+        if self._pixels is None:
+            self._gray[top:bottom] = _luma(self._fb, np.s_[self._y + top : self._y + bottom, self._columns])
+        else:
+            luma = self._pixels[top:bottom] @ self._luma_weights
+            luma += 500
+            luma /= 1000
+            self._gray[top:bottom] = luma
+        first, end = self._row_cell[top], self._row_cell[bottom - 1] + 1
+        lo, hi = self._row_edges[first], self._row_edges[end]
+        sums = self._row_sum[first:end, lo:hi] @ self._gray[lo:hi] @ self._col_sum
+        sums += self._half_counts[first:end]
+        sums /= self._counts[first:end]
+        self._cells[first:end] = sums
 
 
 def crop(frame: GrayFrame, x: int, y: int, width: int, height: int) -> GrayFrame:

@@ -14,8 +14,11 @@ while a bang-bang policy toward the center survives indefinitely.
 Rendering is pure and byte-deterministic: black background, white
 paddle bar with tilt shown as end offsets, a white 8x8 ball, and a
 solid red screen once the state is terminal (the terminal probe
-target). Each episode draws its starting perturbation from a per-episode
-seed; see :func:`episode_seed`.
+target). One routine, :func:`draw`, does all drawing: :func:`render`
+runs it on a fresh blank framebuffer, and the server runs it in place on
+its canonical frame each tick, clearing only the previous state's
+:func:`drawn_rows`, so a tick allocates no frame. Each episode draws its
+starting perturbation from a per-episode seed; see :func:`episode_seed`.
 """
 
 from __future__ import annotations
@@ -102,19 +105,28 @@ def ball_center_column(position: float) -> int:
 
 
 def render(state: GameState, fmt: PixelFormat = RGBX32) -> Framebuffer:
-    """Draw the state into a fresh framebuffer in the given format.
-
-    Pixels are written one ``fmt`` word at a time (see
-    :meth:`Framebuffer.as_words`) from colours packed once per format.
-    Black packs to 0 in every true-color format, so the zeroed buffer is
-    the background.
-    """
-    white, red = _colour_words(fmt)
+    """Draw the state into a fresh framebuffer in the given format."""
     fb = Framebuffer.blank(SCREEN_WIDTH, SCREEN_HEIGHT, fmt)
-    words = fb.as_words()
+    draw(fb.as_words(), state, fmt)
+    return fb
+
+
+def draw(words: np.ndarray, state: GameState, fmt: PixelFormat, previous: GameState | None = None) -> None:
+    """Draw ``state`` in place into ``words``, a (height, width) array of
+    ``fmt`` words (see :meth:`Framebuffer.as_words`) that holds
+    ``render(previous, fmt)``, or all background when ``previous`` is None.
+
+    Only ``drawn_rows(previous)`` are set back to background first, so
+    ``words`` ends equal to ``render(state, fmt)``. Black packs to 0 in
+    every true-color format, so the background is the zero word.
+    """
+    if previous is not None:
+        top, bottom = drawn_rows(previous)
+        words[top:bottom] = 0
+    white, red = _colour_words(fmt)
     if state.terminal:
         words[:] = red
-        return fb
+        return
     mid = PADDLE_ROW
     left = mid + PADDLE_END_OFFSET * state.tilt
     right = mid - PADDLE_END_OFFSET * state.tilt
@@ -125,7 +137,6 @@ def render(state: GameState, fmt: PixelFormat = RGBX32) -> Framebuffer:
     col_lo = max(0, center - BALL_SIZE // 2)
     col_hi = min(SCREEN_WIDTH, center + BALL_SIZE // 2)
     words[BALL_TOP_ROW : BALL_TOP_ROW + BALL_SIZE, col_lo:col_hi] = white
-    return fb
 
 
 def drawn_rows(state: GameState) -> tuple[int, int]:

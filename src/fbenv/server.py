@@ -14,18 +14,24 @@ render) and the mirror (what the client has been sent). Both are
 ``(height, width)`` arrays of one word per pixel in the negotiated
 format (:func:`fbenv.framebuffer.word_dtype`), so an incremental update
 is the bounding box of the words that differ, and its ``tobytes()`` is
-the raw rectangle payload as RFC 6143 sends it. ``_shown`` records the
-game state whose render the mirror holds (None for an all-background
-mirror). An update sends nothing while it is the current state, and
-otherwise compares only the rows :func:`fbenv.game.drawn_rows` gives for
-the two states, since every other row is background in both frames.
+the raw rectangle payload as RFC 6143 sends it. Each tick redraws the
+canonical frame in place with :func:`fbenv.game.draw`, clearing only
+the previous state's drawn rows; a new client or a SetPixelFormat gets
+a freshly rendered one. ``_shown`` records the game state whose render
+the mirror holds (None for an all-background mirror). An update sends
+nothing while it is the current state, and otherwise compares only the
+rows :func:`fbenv.game.drawn_rows` gives for the two states, since every
+other row is background in both frames.
 
 A diagnostic side channel on a second TCP port answers the line "HASH"
 with the FNV-1a hash of the framebuffer as of the last update sent plus
 the update count, letting tests verify client/server pixel fidelity
 without touching the RFB stream; a line over MAX_SIDE_CHANNEL_LINE
-bytes drops that client. One RFB client is served at a time; a
-protocol violation drops that client and the server keeps listening.
+bytes drops that client. Up to MAX_SIDE_CHANNEL_CLIENTS side-channel
+clients are served at once, each on its own thread, so an idle one
+blocks no other; one more is closed at once. One RFB client is served
+at a time; a protocol violation drops that client and the server keeps
+listening.
 :attr:`MockServer.drops` counts the connections dropped on an error and
 keeps the last one's reason.
 
@@ -69,6 +75,7 @@ from .errors import FbenvError, IncompleteMessageError, ProtocolError
 SERVER_NAME = "multitask-lite"
 STALL_TIMEOUT = 10  # seconds a stalled peer may hold a connection
 MAX_SIDE_CHANNEL_LINE = 64  # bytes in one side-channel line; a longer one drops the client
+MAX_SIDE_CHANNEL_CLIENTS = 4  # side-channel connections served at once; one more is dropped
 
 
 @dataclass
@@ -94,6 +101,7 @@ class MockServer:
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
+        self._side_threads: list[threading.Thread] = []  # one per side-channel client, under the lock
         self._listener: socket.socket | None = None
         self._side_listener: socket.socket | None = None
         self._conns: set[socket.socket] = set()  # open connections, under the lock
@@ -103,7 +111,7 @@ class MockServer:
         self._game = game.new_game(game.episode_seed(self.config.seed, 0))
         self._format = RGBX32
         self._held: set[int] = set()
-        self._redraw()
+        self._render()
         self._zero_mirror()
         self._generation = 0
 
@@ -113,7 +121,7 @@ class MockServer:
         self._listener = self._bind(self.config.port)
         self._side_listener = self._bind(self.config.side_channel_port)
         self._spawn(self._serve_port, "fbenv-server-accept", self._listener, self._serve_client)
-        self._spawn(self._serve_port, "fbenv-server-hash", self._side_listener, self._serve_side_channel)
+        self._spawn(self._serve_side_port, "fbenv-server-hash")
         if not self.config.lockstep:
             self._spawn(self._ticker_loop, "fbenv-server-ticker")
         return self
@@ -131,6 +139,10 @@ class MockServer:
                 except OSError:
                     pass  # already closed
         for thread in self._threads:
+            thread.join(timeout=5.0)
+        with self._lock:  # the accept loops have returned, so no side thread starts now
+            side_threads = list(self._side_threads)
+        for thread in side_threads:
             thread.join(timeout=5.0)
         for listener in (self._listener, self._side_listener):
             if listener is not None:
@@ -164,33 +176,68 @@ class MockServer:
 
     def _serve_port(self, listener: socket.socket, handler) -> None:
         """Serve one connection at a time with ``handler`` until stop()
-        shuts ``listener`` down; an error drops only that connection."""
+        shuts ``listener`` down."""
         while True:
             try:
                 conn, _ = listener.accept()
             except OSError:
                 return
-            # registered before the stop check, so stop() either shuts this
-            # connection down or has already set the flag checked here
-            with self._lock:
-                self._conns.add(conn)
+            self._serve_connection(conn, handler)
+
+    def _serve_side_port(self) -> None:
+        """Serve each side-channel connection on its own thread, so an idle
+        one holds up no other. One beyond MAX_SIDE_CHANNEL_CLIENTS is
+        closed at once and counted in :attr:`drops`."""
+        while True:
             try:
-                if not self._stop.is_set():
-                    timeval = struct.pack("ll", STALL_TIMEOUT, 0)
-                    conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
-                    handler(conn)
-            except (OSError, FbenvError, ValueError) as exc:  # drop this client, keep listening
-                with self._lock:
-                    self._drops += 1
-                    self._last_drop = f"{type(exc).__name__}: {exc}"
-            finally:
-                with self._lock:
-                    self._conns.discard(conn)
+                conn, _ = self._side_listener.accept()
+            except OSError:
+                return
+            with self._lock:
+                self._side_threads = [thread for thread in self._side_threads if thread.is_alive()]
+                full = len(self._side_threads) >= MAX_SIDE_CHANNEL_CLIENTS
+                if not full:
+                    thread = threading.Thread(
+                        target=self._serve_connection,
+                        args=(conn, self._serve_side_channel),
+                        name="fbenv-server-hash-client",
+                        daemon=True,
+                    )
+                    thread.start()
+                    self._side_threads.append(thread)
+            if full:
                 conn.close()
+                self._count_drop(ProtocolError(f"over {MAX_SIDE_CHANNEL_CLIENTS} side-channel connections"))
+
+    def _serve_connection(self, conn: socket.socket, handler) -> None:
+        """Run ``handler`` on one accepted connection, then close it; an
+        error drops only that connection."""
+        # registered before the stop check, so stop() either shuts this
+        # connection down or has already set the flag checked here
+        with self._lock:
+            self._conns.add(conn)
+        try:
+            if not self._stop.is_set():
+                timeval = struct.pack("ll", STALL_TIMEOUT, 0)
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+                handler(conn)
+        except (OSError, FbenvError, ValueError) as exc:  # drop this client, keep listening
+            self._count_drop(exc)
+        finally:
+            with self._lock:
+                self._conns.discard(conn)
+            conn.close()
+
+    def _count_drop(self, exc: Exception) -> None:
+        with self._lock:
+            self._drops += 1
+            self._last_drop = f"{type(exc).__name__}: {exc}"
 
     # -- game state (all callers hold the lock) -------------------------
 
-    def _redraw(self) -> None:
+    def _render(self) -> None:
+        """Draw the current state into a fresh canonical frame (new client
+        or new pixel format)."""
         self._canonical = game.render(self._game, self._format).as_words()
 
     def _zero_mirror(self) -> None:
@@ -200,8 +247,8 @@ class MockServer:
 
     def _reset_episode(self) -> None:
         self._episode += 1
-        self._game = game.new_game(game.episode_seed(self.config.seed, self._episode))
-        self._redraw()
+        previous, self._game = self._game, game.new_game(game.episode_seed(self.config.seed, self._episode))
+        game.draw(self._canonical, self._game, self._format, previous)
 
     def _tilt(self) -> int:
         return (-1 if KEY_LEFT in self._held else 0) + (1 if KEY_RIGHT in self._held else 0)
@@ -211,8 +258,8 @@ class MockServer:
             if self.config.auto_reset:
                 self._reset_episode()
             return
-        self._game = game.step_game(self._game, self._tilt())
-        self._redraw()
+        previous, self._game = self._game, game.step_game(self._game, self._tilt())
+        game.draw(self._canonical, self._game, self._format, previous)
 
     def game_state(self) -> game.GameState:
         """Snapshot of the current game state (diagnostics and tests)."""
@@ -248,7 +295,7 @@ class MockServer:
         self._handshake(conn)
         with self._lock:
             self._format = RGBX32
-            self._redraw()
+            self._render()
             self._zero_mirror()
             self._generation = 0
         buffer = bytearray()
@@ -317,7 +364,7 @@ class MockServer:
             raise ProtocolError("palette pixel formats are not served")
         with self._lock:
             self._format = fmt
-            self._redraw()
+            self._render()
             self._zero_mirror()
 
     def _update_payload(self, incremental: bool) -> bytes:

@@ -26,7 +26,8 @@ def server_factory():
     for server in servers:
         server.stop()
     for server in servers:
-        assert not [thread.name for thread in server._threads if thread.is_alive()]
+        threads = server._threads + server._side_threads
+        assert not [thread.name for thread in threads if thread.is_alive()]
 
 
 @pytest.fixture

@@ -720,6 +720,35 @@ def test_side_channel_drops_an_over_long_line(server_factory):
     assert side_channel_hash(server.side_channel_port)[1] == 0  # a new connection is served
 
 
+def test_an_idle_side_channel_client_holds_up_no_other():
+    before = set(threading.enumerate())
+    server = fbenv.server.serve(fbenv.server.ServerConfig(port=0, lockstep=True, seed=11))
+    limit = fbenv.server.MAX_SIDE_CHANNEL_CLIENTS
+    clients = []
+    try:
+        clients.append(socket.create_connection(("127.0.0.1", server.side_channel_port), timeout=5.0))
+        for index in range(1, limit):  # each answered while the first stays idle
+            client = socket.create_connection(("127.0.0.1", server.side_channel_port), timeout=5.0)
+            clients.append(client)
+            started = time.monotonic()
+            client.sendall(b"HASH\n")
+            assert client.recv(64).endswith(b" 0\n")
+            if index == 1:
+                assert time.monotonic() - started < 0.5
+        # one more than the cap is closed at once and counted
+        with socket.create_connection(("127.0.0.1", server.side_channel_port), timeout=5.0) as extra:
+            try:
+                assert extra.recv(64) == b""
+            except ConnectionResetError:
+                pass
+        assert server.drops == (1, f"ProtocolError: over {limit} side-channel connections")
+    finally:
+        server.stop()  # with the idle clients still connected
+        for client in clients:
+            client.close()
+    assert not [thread.name for thread in threading.enumerate() if thread not in before]
+
+
 def test_hash_query_does_not_hold_the_game_lock(session_factory, monkeypatch):
     session, server = session_factory(lockstep=True, seed=11)
     hashing = threading.Event()

@@ -19,6 +19,7 @@ from fbenv.framebuffer import (
     to_grayscale,
     write_pgm,
 )
+from fbenv.game import episode_seed, new_game, render, step_game
 from fbenv.wire import RGBX32, FramebufferUpdate, PixelFormat, Rectangle
 
 from helpers import BGRX32_BE, RGB332, RGB565, TEST_FORMATS, oracle_downsample, oracle_gray
@@ -270,26 +271,66 @@ def test_downsample_rejects_bad_dimensions():
 # -- incremental observation -------------------------------------------------
 
 
+# colours whose luma numerator 299 R + 587 G + 114 B + 500 is an exact
+# multiple of 1000: a float luma must land exactly on that integer, since
+# a quotient just below it floors one level down
+EXACT_LUMA_RGB = np.array(
+    [
+        (r, g, b)
+        for r in range(0, 256, 17)
+        for g in range(0, 256, 17)
+        for b in range(256)
+        if (299 * r + 587 * g + 114 * b + 500) % 1000 == 0
+    ],
+    dtype=np.uint8,
+)
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 @pytest.mark.parametrize(
     "fmt", TEST_FORMATS, ids=lambda fmt: f"{fmt.bits_per_pixel}bpp-be{int(fmt.big_endian)}"
 )
 def test_gray_cells_track_the_full_frame_oracle(fmt, data):
+    if data.draw(st.integers(0, 3)) == 0:
+        # whole-frame 160x160 -> 16x16 over real game frames, resets included
+        seed, episode = data.draw(st.integers(0, 2**32 - 1)), 0
+        g = new_game(episode_seed(seed, episode))
+        fb = render(g, fmt)
+        cells = GrayCells(fb, 16, 16)
+        for tilt in data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=40)):
+            if g.terminal:
+                episode += 1
+                g = new_game(episode_seed(seed, episode))
+            else:
+                g = step_game(g, tilt)
+            apply_rectangle(fb, Rectangle(0, 0, 160, 160), bytes(render(g, fmt).pixels))
+            assert cells.observe() == downsample(to_grayscale(fb), 16, 16)
+        return
     width, height = data.draw(st.integers(1, 24)), data.draw(st.integers(3, 24))
     x, y = data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, height - 3))
     w, h = data.draw(st.integers(1, width - x)), data.draw(st.integers(3, height - y))
-    # rows never divide evenly, so cell rows differ in height
-    out_w, out_h = data.draw(st.integers(1, w)), data.draw(st.integers(2, h - 1).filter(lambda n: h % n))
+    if data.draw(st.booleans()):
+        out_w, out_h = w, h  # the one-to-one grid
+    else:
+        # rows never divide evenly, so cell rows differ in height
+        out_w, out_h = data.draw(st.integers(1, w)), data.draw(st.integers(2, h - 1).filter(lambda n: h % n))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     bpp = fmt.bytes_per_pixel
-    pixels = rng.integers(0, 256, width * height * bpp, dtype=np.uint8)
+    if data.draw(st.booleans()):
+        # exact gray levels, whose cell sums often sit on a .5 boundary
+        def random_pixels(count):
+            return np.frombuffer(pack_rgb(rng.choice(EXACT_LUMA_RGB, size=(1, count)), fmt), dtype=np.uint8)
+    else:
+        def random_pixels(count):
+            return rng.integers(0, 256, count * bpp, dtype=np.uint8)
+    pixels = random_pixels(width * height)
     fb = Framebuffer(width, height, fmt, bytearray(pixels))
     cells = GrayCells(fb, out_w, out_h, (x, y, w, h))
     for _ in range(data.draw(st.integers(1, 6))):
         rx, ry = data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, height - 1))
         rw, rh = data.draw(st.integers(1, width - rx)), data.draw(st.integers(1, height - ry))
-        payload = rng.integers(0, 256, rw * rh * bpp, dtype=np.uint8).tobytes()
+        payload = random_pixels(rw * rh).tobytes()
         apply_rectangle(fb, Rectangle(rx, ry, rw, rh), payload)
         if data.draw(st.booleans()):  # a write that bypasses apply_rectangle
             fb.pixels[int(rng.integers(len(fb.pixels)))] ^= 0xFF

@@ -17,6 +17,7 @@ from fbenv.game import (
     SCREEN_WIDTH,
     GameState,
     ball_center_column,
+    draw,
     drawn_rows,
     episode_seed,
     new_game,
@@ -24,7 +25,7 @@ from fbenv.game import (
     score,
     step_game,
 )
-from fbenv.framebuffer import pack_rgb, pixel_rgb
+from fbenv.framebuffer import pack_rgb, pixel_rgb, word_dtype
 from fbenv.wire import PixelFormat
 
 from helpers import (
@@ -279,6 +280,32 @@ def test_drawn_rows_bound_every_drawn_pixel(fmt, p, tilt, terminal):
     rows = np.frombuffer(oracle_render(g, fmt), dtype=np.uint8).reshape(SCREEN_HEIGHT, -1)
     assert not rows[:top].any() and not rows[bottom:].any()
     assert rows[top].any() and rows[bottom - 1].any()  # and the band is tight
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fmt=st.sampled_from(TEST_FORMATS),
+    states=st.lists(
+        st.builds(
+            state,
+            p=st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, -0.99, 0.99, 1.0])),
+            tilt=st.sampled_from([-1, 0, 1]),
+            terminal=st.booleans(),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_draw_in_place_matches_a_fresh_render(fmt, states):
+    """One word array redrawn through a sequence of states (tilts, clipped
+    balls, terminal states and the resets after them) always holds what a
+    fresh render of the current state holds."""
+    words = np.zeros((SCREEN_HEIGHT, SCREEN_WIDTH), dtype=word_dtype(fmt))
+    previous = None
+    for g in states:
+        draw(words, g, fmt, previous)
+        assert words.tobytes() == oracle_render(g, fmt)
+        previous = g
 
 
 # -- scoring -----------------------------------------------------------------
