@@ -86,7 +86,10 @@ def _cmd_serve(args) -> int:
     )
     server = MockServer(config).start()
     mode = "lockstep" if config.lockstep else f"{config.tick_rate:g} Hz"
-    print(f"serving on {args.host}:{server.port} ({mode}), hash channel on {server.side_channel_port}")
+    print(
+        f"serving on {args.host}:{server.port} ({mode}), hash channel on {server.side_channel_port}",
+        flush=True,  # a reader of a pipe needs the port that --port 0 chose
+    )
     try:
         while True:
             time.sleep(1.0)

@@ -6,7 +6,14 @@ order. :meth:`Session.queue_key` holds key events back until the next
 write (an update request, another input event or :meth:`Session.flush`),
 so a lockstep step's keys and its request share one ``sendall``. Each
 request runs one receive loop: it waits for an update, then applies
-what else has already arrived. Two capture styles share one loop: a
+what else has already arrived. The socket blocks, and is read with
+``MSG_DONTWAIT``; a receive waits on the deadline only while nothing has
+arrived. When :func:`connect` reaches a lockstep
+:class:`~fbenv.server.MockServer` in this process, found in
+``_IN_PROCESS_LOCKSTEP`` by its listener's address, the session serves
+the server's end of the connection on its own thread after each write,
+so a step involves no other thread; the bytes still cross the socket.
+Two capture styles share one loop: a
 fixed-rate callback loop paced by :class:`Pacer` and an unrestricted
 tight poll loop that captures as fast as the server round-trips.
 Capture converts no pixels: each callback gets the live
@@ -24,7 +31,9 @@ import enum
 import math
 import select
 import socket
+import struct
 import time
+import weakref
 from dataclasses import dataclass
 
 from .errors import (
@@ -57,6 +66,10 @@ DEFAULT_CONNECT_TIMEOUT = 5.0
 #: bounds worst-case capture and timed-mode step latency. A lockstep Env
 #: waits DEFAULT_CONNECT_TIMEOUT instead and raises, never reusing a frame.
 POLL_DEADLINE = 0.1
+
+#: Lockstep MockServers running in this process, by listener address;
+#: ``fbenv.server`` keeps it.
+_IN_PROCESS_LOCKSTEP: dict[tuple, object] = {}
 
 
 class SessionState(enum.Enum):
@@ -134,13 +147,24 @@ class Session:
     """One live connection to an RFB server. Not thread-safe."""
 
     def __init__(self, sock: socket.socket, server_init: ServerInit, fmt: PixelFormat):
+        sock.settimeout(None)  # receives wait on their deadline in _recv_into_buffer
+        timeval = struct.pack("ll", int(DEFAULT_CONNECT_TIMEOUT), 0)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
         self._sock = sock
+        self._readable = select.poll()
+        self._readable.register(sock, select.POLLIN)
+        self._server_end = None  # a lockstep server's end in this process, served after each write
         self.server_init = server_init
         self.format = fmt
         self.framebuffer = Framebuffer.blank(server_init.width, server_init.height, fmt)
         self.state = SessionState.CONNECTING
         self._buffer = bytearray()
         self._queued = bytearray()  # encoded input events not yet written
+        region = Rectangle(0, 0, server_init.width, server_init.height)
+        self._requests = {  # the whole-screen update request, by incremental
+            incremental: encode_client_message(FramebufferUpdateRequest(incremental, region))
+            for incremental in (False, True)
+        }
 
     @property
     def width(self) -> int:
@@ -157,6 +181,8 @@ class Session:
     def close(self) -> None:
         if self.state is not SessionState.CLOSED:
             self.state = SessionState.CLOSED
+            if self._server_end is not None:
+                self._server_end.release()
             try:
                 self._sock.close()
             except OSError:
@@ -175,7 +201,8 @@ class Session:
             raise InvalidStateError(f"session is {self.state.value}, not ready")
 
     def _send(self, payload: bytes) -> None:
-        """Write the queued input events, then ``payload``, in one sendall."""
+        """Write the queued input events, then ``payload``, in one sendall;
+        then serve the server's end, if this thread serves it."""
         if self._queued:
             payload = bytes(self._queued) + payload
             self._queued.clear()
@@ -184,18 +211,24 @@ class Session:
         except OSError as exc:
             self.close()
             raise ConnectionLostError(f"send failed: {exc}") from exc
+        if self._server_end is not None:
+            self._server_end.serve(len(payload))
 
-    def _recv_into_buffer(self, timeout: float) -> bool:
-        """Pull one chunk off the socket; False if nothing arrived within
-        ``timeout`` seconds (none at all once it is zero or less)."""
-        try:
-            self._sock.settimeout(max(timeout, 0.0))
-            chunk = self._sock.recv(65536)
-        except (TimeoutError, socket.timeout, BlockingIOError):
-            return False
-        except OSError as exc:
-            self.close()
-            raise ConnectionLostError(f"receive failed: {exc}") from exc
+    def _recv_into_buffer(self, deadline: float) -> bool:
+        """Pull one chunk off the socket, waiting until ``deadline`` (on
+        the ``time.monotonic`` clock) only while nothing has arrived;
+        False if nothing did."""
+        while True:
+            try:
+                chunk = self._sock.recv(65536, socket.MSG_DONTWAIT)
+                break
+            except BlockingIOError:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not self._readable.poll(remaining * 1000.0):
+                    return False
+            except OSError as exc:
+                self.close()
+                raise ConnectionLostError(f"receive failed: {exc}") from exc
         if not chunk:
             self.close()
             raise ConnectionLostError("server closed the connection")
@@ -229,8 +262,7 @@ class Session:
         arrived. True once an update is applied.
         """
         self._require_ready()
-        region = Rectangle(0, 0, self.width, self.height)
-        self._send(encode_client_message(FramebufferUpdateRequest(incremental, region)))
+        self._send(self._requests[incremental])
         deadline = time.monotonic() + timeout
         applied = False
         while True:
@@ -238,11 +270,8 @@ class Session:
             if isinstance(message, FramebufferUpdate):
                 apply_update(self.framebuffer, message)
                 applied = True
-            elif message is None:
-                if applied and not select.select([self._sock], [], [], 0)[0]:
-                    return True
-                if not self._recv_into_buffer(0.0 if applied else deadline - time.monotonic()):
-                    return False
+            elif message is None and not self._recv_into_buffer(0.0 if applied else deadline):
+                return applied
 
     def refresh(self, timeout: float = DEFAULT_CONNECT_TIMEOUT) -> None:
         """Request a full (non-incremental) update and apply it to
@@ -364,7 +393,9 @@ def connect(
 
     On return the session is Ready: the pixel format and raw encoding are
     negotiated and one full framebuffer update has been applied
-    (generation 1).
+    (generation 1). A lockstep server in this process learns the
+    session's address before the handshake and hands it the server's
+    end of the connection to serve.
     """
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
@@ -372,19 +403,27 @@ def connect(
         raise ConnectTimeoutError(f"connect to {host}:{port} timed out") from exc
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     sock.settimeout(timeout)
+    server_end = None
     try:
+        server = _IN_PROCESS_LOCKSTEP.get(sock.getpeername())
+        if server is not None:
+            server_end = server._expect(sock.getsockname())
         server_init = perform_handshake(sock)
         session = Session(sock, server_init, requested_format)
+        if server_end is not None:
+            session._server_end = server_end
+            weakref.finalize(session, server_end.release)  # a session dropped unclosed frees the server too
         session._send(
             encode_client_message(SetPixelFormat(requested_format))
             + encode_client_message(SetEncodings((ENCODING_RAW,)))
         )
         session.state = SessionState.READY
         session.refresh(timeout)
-    except (TimeoutError, socket.timeout) as exc:
+    except BaseException as exc:
+        if server_end is not None:
+            server_end.release()
         sock.close()
-        raise ConnectTimeoutError(f"handshake with {host}:{port} timed out") from exc
-    except BaseException:
-        sock.close()
+        if isinstance(exc, (TimeoutError, socket.timeout)):
+            raise ConnectTimeoutError(f"handshake with {host}:{port} timed out") from exc
         raise
     return session

@@ -35,12 +35,26 @@ listening.
 :attr:`MockServer.drops` counts the connections dropped on an error and
 keeps the last one's reason.
 
+The connection protocol after the handshake is one routine,
+:meth:`MockServer._replies`: it turns received bytes into the replies to
+send and never blocks. Two callers feed it. A client in another
+process, a raw socket or a client of a timed server is served by a
+``recv`` loop on the connection's thread. A client that
+:func:`fbenv.client.connect` opened in this process to a lockstep server
+registers its address before the handshake; the connection's thread then
+parks after the handshake, and the client's own thread serves the
+server's end (:class:`_ServerEnd`) after each of its writes, so a
+lockstep step hands no work to another thread. Every byte still crosses
+the socket either way.
+
 Sockets block, and :meth:`MockServer.stop` wakes them: it shuts down both
 listeners and every open connection, which makes a blocked ``accept()``
-raise and a blocked ``recv()`` return ``b""``, so every thread sees the
-stop at once. The only timeouts bound a stalled peer: a handshake that
-stalls for STALL_TIMEOUT seconds, or a send that does, drops the client.
-A connected client that sends nothing is kept.
+raise and a blocked ``recv()`` return ``b""``, and it releases a parked
+connection thread, so every thread sees the stop at once. The only
+timeouts bound a stalled peer: a handshake that stalls for STALL_TIMEOUT
+seconds, or a send that does, drops the client; on the client's thread,
+a reply the kernel will not take at once drops it. A connected client
+that sends nothing is kept.
 """
 
 from __future__ import annotations
@@ -53,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import game
-from .client import Pacer
+from .client import _IN_PROCESS_LOCKSTEP, Pacer
 from .fnv import fnv1a64
 from .keys import KEY_LEFT, KEY_RIGHT, KEY_SPACE
 from .wire import (
@@ -105,6 +119,8 @@ class MockServer:
         self._listener: socket.socket | None = None
         self._side_listener: socket.socket | None = None
         self._conns: set[socket.socket] = set()  # open connections, under the lock
+        self._expected: dict[tuple, _ServerEnd] = {}  # in-process clients by address, before their handshake
+        self._parked: _ServerEnd | None = None  # the client serving itself now, under the lock
         self._drops = 0  # clients dropped on an error, under the lock
         self._last_drop: str | None = None  # "ExceptionType: message", under the lock
         self._episode = 0
@@ -120,18 +136,24 @@ class MockServer:
     def start(self) -> "MockServer":
         self._listener = self._bind(self.config.port)
         self._side_listener = self._bind(self.config.side_channel_port)
-        self._spawn(self._serve_port, "fbenv-server-accept", self._listener, self._serve_client)
+        self._spawn(self._serve_rfb_port, "fbenv-server-accept")
         self._spawn(self._serve_side_port, "fbenv-server-hash")
-        if not self.config.lockstep:
+        if self.config.lockstep:
+            _IN_PROCESS_LOCKSTEP[self._listener.getsockname()] = self
+        else:
             self._spawn(self._ticker_loop, "fbenv-server-ticker")
         return self
 
     def stop(self) -> None:
         """Wake every blocked socket by shutting it down, then join the
         threads and close the listeners."""
+        if self._listener is not None and not self._stop.is_set():  # not closed by a first stop()
+            _IN_PROCESS_LOCKSTEP.pop(self._listener.getsockname(), None)
         self._stop.set()
         with self._lock:
             sockets = [self._listener, self._side_listener, *self._conns]
+            if self._parked is not None:
+                self._parked.released.set()
         for sock in sockets:
             if sock is not None:
                 try:
@@ -174,15 +196,15 @@ class MockServer:
         thread.start()
         self._threads.append(thread)
 
-    def _serve_port(self, listener: socket.socket, handler) -> None:
-        """Serve one connection at a time with ``handler`` until stop()
-        shuts ``listener`` down."""
+    def _serve_rfb_port(self) -> None:
+        """Serve one RFB client at a time until stop() shuts the listener
+        down."""
         while True:
             try:
-                conn, _ = listener.accept()
+                conn, _ = self._listener.accept()
             except OSError:
                 return
-            self._serve_connection(conn, handler)
+            self._serve_connection(conn, self._serve_client)
 
     def _serve_side_port(self) -> None:
         """Serve each side-channel connection on its own thread, so an idle
@@ -205,9 +227,9 @@ class MockServer:
                     )
                     thread.start()
                     self._side_threads.append(thread)
-            if full:
-                conn.close()
+            if full:  # counted before the close, so the client sees the count once it is closed
                 self._count_drop(ProtocolError(f"over {MAX_SIDE_CHANNEL_CLIENTS} side-channel connections"))
+                conn.close()
 
     def _serve_connection(self, conn: socket.socket, handler) -> None:
         """Run ``handler`` on one accepted connection, then close it; an
@@ -236,9 +258,17 @@ class MockServer:
     # -- game state (all callers hold the lock) -------------------------
 
     def _render(self) -> None:
-        """Draw the current state into a fresh canonical frame (new client
-        or new pixel format)."""
+        """Draw the current state into a fresh canonical frame."""
         self._canonical = game.render(self._game, self._format).as_words()
+
+    def _start_over(self, fmt: PixelFormat) -> None:
+        """Serve ``fmt`` to a client that holds nothing yet (a new client or
+        a SetPixelFormat). The in-place draws keep the canonical frame
+        current, so only a new format renders it afresh."""
+        if fmt != self._format:
+            self._format = fmt
+            self._render()
+        self._zero_mirror()
 
     def _zero_mirror(self) -> None:
         """Forget what the client holds."""
@@ -290,29 +320,27 @@ class MockServer:
     # -- RFB connection handling -----------------------------------------
 
     def _serve_client(self, conn: socket.socket) -> None:
+        """Handshake, then serve the client with a ``recv`` loop; a client
+        in this process that registered itself serves this end on its own
+        thread instead, while this thread parks until it is released."""
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn.settimeout(STALL_TIMEOUT)
-        self._handshake(conn)
-        with self._lock:
-            self._format = RGBX32
-            self._render()
-            self._zero_mirror()
-            self._generation = 0
+        end = self._handshake(conn)
+        if end is not None:
+            end.released.wait()
+            with end.guard, self._lock:  # the client's thread is done with conn
+                self._parked = None
+            return
         buffer = bytearray()
-        conn.settimeout(None)  # an idle client is kept; SO_SNDTIMEO bounds sends
         while chunk := conn.recv(65536):
-            buffer.extend(chunk)
-            while buffer:
-                try:
-                    message, consumed = decode_client_message(buffer)
-                except IncompleteMessageError:
-                    break  # the rest of the message is still in flight
-                del buffer[:consumed]
-                self._dispatch(conn, message)
+            for reply in self._replies(buffer, chunk):
+                conn.sendall(reply)
 
-    def _handshake(self, conn: socket.socket) -> None:
-        """Run the server side of the 3.8 handshake; a refusal sends its
-        reason, then raises ProtocolError to drop the client."""
+    def _handshake(self, conn: socket.socket) -> _ServerEnd | None:
+        """Run the server side of the 3.8 handshake and start the client
+        on a fresh frame; a refusal sends its reason, then raises
+        ProtocolError to drop the client. Returns the client's
+        :class:`_ServerEnd` if it registered one before the handshake."""
         conn.sendall(PROTOCOL_VERSION)
         client_version = read_exact(conn, 12)
         if client_version != PROTOCOL_VERSION:
@@ -327,6 +355,17 @@ class MockServer:
             raise ProtocolError(f"refused security type {chosen}")
         conn.sendall(struct.pack(">I", 0))  # SecurityResult OK
         read_exact(conn, 1)  # ClientInit; shared flag ignored, one client anyway
+        # conn blocks and the end is bound before ServerInit goes out: the
+        # client may serve conn as soon as its handshake returns
+        conn.settimeout(None)  # an idle client is kept; SO_SNDTIMEO bounds sends
+        with self._lock:
+            self._start_over(RGBX32)
+            self._generation = 0
+            end = self._parked = self._expected.pop(conn.getpeername(), None)
+            if end is not None:
+                end.conn = conn
+                if self._stop.is_set():  # stop() has already looked for a parked end
+                    end.released.set()
         name = SERVER_NAME.encode("ascii")
         conn.sendall(
             struct.pack(">HH", game.SCREEN_WIDTH, game.SCREEN_HEIGHT)
@@ -334,20 +373,43 @@ class MockServer:
             + struct.pack(">I", len(name))
             + name
         )
+        return end
 
-    def _dispatch(self, conn: socket.socket, message) -> None:
-        """Apply one client message; one the server will not serve raises
-        ProtocolError, which drops the client. A PointerEvent or a
-        ClientCutText is accepted and ignored: the game has no pointer
-        controls and no clipboard."""
+    def _expect(self, address: tuple) -> _ServerEnd:
+        """Register a client in this process by its address, before its
+        handshake; :func:`fbenv.client.connect` calls this."""
+        end = self._expected[address] = _ServerEnd(self, address)
+        return end
+
+    def _replies(self, buffer: bytearray, chunk: bytes):
+        """Append ``chunk`` to ``buffer`` and apply each complete client
+        message in it, yielding the bytes each one answers with; the rest
+        of a message still in flight stays in ``buffer``. Never blocks."""
+        buffer.extend(chunk)
+        while buffer:
+            try:
+                message, consumed = decode_client_message(buffer)
+            except IncompleteMessageError:
+                return  # the rest of the message is still in flight
+            del buffer[:consumed]
+            reply = self._dispatch(message)
+            if reply is not None:
+                yield reply
+
+    def _dispatch(self, message) -> bytes | None:
+        """Apply one client message and return its reply, if it has one;
+        one the server will not serve raises ProtocolError, which drops the
+        client. A PointerEvent or a ClientCutText is accepted and ignored:
+        the game has no pointer controls and no clipboard."""
         if isinstance(message, FramebufferUpdateRequest):
-            conn.sendall(self._update_payload(message.incremental))
-        elif isinstance(message, KeyEvent):
+            return self._update_payload(message.incremental)
+        if isinstance(message, KeyEvent):
             self._on_key(message)
         elif isinstance(message, SetEncodings) and ENCODING_RAW not in message.encodings:
             raise ProtocolError(f"client does not accept raw encoding, only {message.encodings}")
         elif isinstance(message, SetPixelFormat):
             self._on_set_format(message.format)
+        return None
 
     def _on_key(self, event: KeyEvent) -> None:
         with self._lock:
@@ -363,9 +425,7 @@ class MockServer:
         if not fmt.true_color:
             raise ProtocolError("palette pixel formats are not served")
         with self._lock:
-            self._format = fmt
-            self._render()
-            self._zero_mirror()
+            self._start_over(fmt)
 
     def _update_payload(self, incremental: bool) -> bytes:
         with self._lock:
@@ -419,6 +479,70 @@ class MockServer:
                     conn.sendall(f"{fnv1a64(mirror):016x} {generation}\n".encode("ascii"))
                 else:
                     conn.sendall(b"ERR unknown command\n")
+
+
+class _ServerEnd:
+    """The server's end of a connection from a client in this process.
+
+    The connection's thread runs the handshake, binds :attr:`conn` and
+    parks until :attr:`released` is set: by the client's close, by a drop
+    or by :meth:`MockServer.stop`. Meanwhile the client calls
+    :meth:`serve` on its own thread after each write.
+    """
+
+    def __init__(self, server: MockServer, address: tuple):
+        self.address = address
+        self.conn: socket.socket | None = None  # bound before ServerInit is sent
+        self.released = threading.Event()
+        self.guard = threading.Lock()  # held while the client's thread uses conn
+        self._server = server
+        self._buffer = bytearray()
+
+    def serve(self, written: int) -> None:
+        """Answer the ``written`` bytes the client has just sent.
+
+        A ``recv`` finds them at once on loopback; if they are still in
+        flight it waits for them, for up to STALL_TIMEOUT. Replies go out
+        without blocking: one the kernel will not take in full means the
+        client stopped reading, and drops it, like any other error here.
+        """
+        with self.guard:
+            if self.released.is_set():
+                return
+            try:
+                while written > 0:
+                    chunk = self._receive()
+                    if not chunk:
+                        self.released.set()
+                        return
+                    written -= len(chunk)
+                    for reply in self._server._replies(self._buffer, chunk):
+                        if self.conn.send(reply, socket.MSG_DONTWAIT) < len(reply):
+                            raise BlockingIOError("the client stopped reading")
+            except (OSError, FbenvError, ValueError) as exc:  # drop this client
+                self._server._count_drop(exc)
+                try:
+                    self.conn.shutdown(socket.SHUT_RDWR)  # the client sees the end at once
+                except OSError:
+                    pass
+                self.released.set()
+
+    def _receive(self) -> bytes:
+        """One chunk of what the client wrote; b"" once it has closed."""
+        try:
+            return self.conn.recv(65536, socket.MSG_DONTWAIT)
+        except BlockingIOError:  # still in flight
+            self.conn.settimeout(STALL_TIMEOUT)
+            try:
+                return self.conn.recv(65536)
+            finally:
+                self.conn.settimeout(None)
+
+    def release(self) -> None:
+        """The client is done: withdraw its registration if the handshake
+        never took it, and let the parked connection thread close."""
+        self._server._expected.pop(self.address, None)
+        self.released.set()
 
 
 def serve(config: ServerConfig | None = None) -> MockServer:

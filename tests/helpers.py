@@ -8,10 +8,17 @@ hand-rolled client-message parser, and small scripted servers.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import random
+import re
+import select
 import socket
 import struct
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 from fbenv.wire import RGBX32, PixelFormat
 
@@ -304,3 +311,33 @@ class RecordingServer:
                 raise EOFError
             data += chunk
         return data
+
+
+# -- a server in its own process ---------------------------------------------
+
+
+@contextlib.contextmanager
+def server_process(*args: str):
+    """Run ``python -m fbenv.cli serve --port 0 *args`` as a child process,
+    with stdout piped and ``PYTHONUNBUFFERED`` unset, and yield
+    ``(process, port, side-channel port)`` as its banner gives them. The
+    child is killed on exit."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "fbenv.cli", "serve", "--port", "0", *args],
+        stdout=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+    try:
+        ready, _, _ = select.select([process.stdout], [], [], 10.0)
+        banner = process.stdout.readline() if ready else ""
+        match = re.search(r":(\d+) \(.*\), hash channel on (\d+)$", banner.strip())
+        assert match, f"no banner from fbenv serve within 10 s: {banner!r}"
+        yield process, int(match[1]), int(match[2])
+    finally:
+        process.kill()
+        process.wait(timeout=5.0)
+        process.stdout.close()

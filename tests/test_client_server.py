@@ -1,7 +1,9 @@
 """Integration tests: live sessions against the in-repo server."""
 
+import gc
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -13,6 +15,7 @@ import fbenv.server
 from fbenv.client import DEFAULT_CONNECT_TIMEOUT, Pacer, Session, SessionState, connect
 from fbenv.errors import (
     ConnectionLostError,
+    ConnectTimeoutError,
     HandshakeRefusedError,
     InvalidStateError,
     ProtocolError,
@@ -22,10 +25,13 @@ from fbenv.fnv import fnv1a64
 from fbenv.keys import KEY_LEFT, KEY_RIGHT, KEY_SPACE
 from fbenv.framebuffer import Framebuffer
 from fbenv.game import render
+from fbenv.server import MockServer
 from fbenv.wire import (
     MAX_CUT_TEXT_LENGTH,
     RGBX32,
     FramebufferUpdate,
+    FramebufferUpdateRequest,
+    Rectangle,
     ServerInit,
     SetPixelFormat,
     decode_server_message,
@@ -324,6 +330,132 @@ def test_server_stop_wakes_open_connections_at_once(server_factory):
         session.close()
         assert elapsed < 0.1
         assert not any(thread.is_alive() for thread in server._threads)
+
+
+# -- an in-process lockstep client serves the server's end ------------------
+
+
+def test_in_process_lockstep_client_serves_updates_on_its_own_thread(server_factory, monkeypatch):
+    threads = []
+    original = MockServer._update_payload
+
+    def recording_update_payload(self, incremental):
+        threads.append(threading.get_ident())
+        return original(self, incremental)
+
+    monkeypatch.setattr(MockServer, "_update_payload", recording_update_payload)
+    for server_kwargs, on_caller in (({"lockstep": True}, True), ({"tick_rate": 30.0}, False)):
+        threads.clear()
+        server = server_factory(**server_kwargs)
+        with connect("127.0.0.1", server.port) as session:
+            for _ in range(5):
+                session.poll()
+        assert len(threads) == 6  # connect's refresh and five polls
+        assert {thread == threading.get_ident() for thread in threads} == {on_caller}
+
+
+def test_closing_an_in_process_session_frees_the_server_for_the_next(server_factory):
+    server = server_factory(lockstep=True, seed=11)
+    first = connect("127.0.0.1", server.port)
+    assert first.poll(DEFAULT_CONNECT_TIMEOUT)
+    with pytest.raises(ConnectTimeoutError):  # one client at a time
+        connect("127.0.0.1", server.port, timeout=0.3)
+    assert first.poll(DEFAULT_CONNECT_TIMEOUT)  # still served
+    first.close()
+    second = connect("127.0.0.1", server.port, timeout=2.0)
+    try:
+        ticks = server.game_state().ticks_survived
+        assert second.poll(DEFAULT_CONNECT_TIMEOUT)
+        assert server.game_state().ticks_survived == ticks + 1
+    finally:
+        second.close()
+    assert server.drops[0] == 1  # only the client that gave up waiting
+    deadline = time.monotonic() + 2.0
+    while server._conns and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not server._conns  # the parked connection thread closed its socket
+
+
+def test_stop_during_an_in_process_session_fails_the_next_poll_at_once(server_factory):
+    server = server_factory(lockstep=True, seed=11)
+    session = connect("127.0.0.1", server.port)
+    assert session.poll(DEFAULT_CONNECT_TIMEOUT)
+    started = time.monotonic()
+    server.stop()
+    assert time.monotonic() - started < 0.5
+    assert not any(thread.is_alive() for thread in server._threads)
+    started = time.monotonic()
+    with pytest.raises(ConnectionLostError):
+        session.poll(DEFAULT_CONNECT_TIMEOUT)
+    assert time.monotonic() - started < 0.5
+    assert session.state is SessionState.CLOSED
+
+
+def test_an_in_process_session_dropped_unclosed_frees_the_server(server_factory):
+    server = server_factory(lockstep=True, seed=11)
+    session = connect("127.0.0.1", server.port)
+    assert session.poll(DEFAULT_CONNECT_TIMEOUT)
+    del session
+    gc.collect()
+    with connect("127.0.0.1", server.port, timeout=2.0) as session:
+        assert session.poll(DEFAULT_CONNECT_TIMEOUT)
+
+
+def test_stop_racing_in_process_polls_ends_both_promptly(server_factory):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside serve() too
+    try:
+        for delay in (0.0, 0.001, 0.002, 0.005) * 5:
+            server = server_factory(lockstep=True, seed=11)
+            session = connect("127.0.0.1", server.port)
+            errors = []
+
+            def poll_until_lost():
+                try:
+                    while True:
+                        session.poll(DEFAULT_CONNECT_TIMEOUT)
+                except Exception as exc:
+                    errors.append(exc)
+
+            poller = threading.Thread(target=poll_until_lost)
+            poller.start()
+            time.sleep(delay)
+            server.stop()
+            poller.join(timeout=5.0)
+            assert not poller.is_alive()
+            assert [type(error) for error in errors] == [ConnectionLostError]
+            assert not any(thread.is_alive() for thread in server._threads)
+            session.close()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_garbage_through_an_in_process_session_drops_the_client(server_factory):
+    server = server_factory(lockstep=True, seed=11)
+    session = connect("127.0.0.1", server.port)
+    session._sock.sendall(b"\x99garbage")
+    with pytest.raises(ConnectionLostError):
+        session.poll(DEFAULT_CONNECT_TIMEOUT)
+    assert server.drops == (1, "ProtocolError: unknown client message type 153")
+    session.close()
+    with connect("127.0.0.1", server.port) as session:  # and the next client is served
+        assert session.poll(DEFAULT_CONNECT_TIMEOUT)
+
+
+def test_a_client_that_stops_reading_is_dropped_without_blocking_it(server_factory):
+    server = server_factory(lockstep=True, seed=11)
+    session = connect("127.0.0.1", server.port)
+    full = encode_client_message(FramebufferUpdateRequest(False, Rectangle(0, 0, 160, 160)))
+    # 100 full frames of replies: more than the two ends' socket buffers hold
+    session._sock.sendall(full * 100)
+    started = time.monotonic()
+    session.send_pointer(0, 0)  # this write serves the requests on this thread
+    assert time.monotonic() - started < 1.0
+    dropped, reason = server.drops
+    assert dropped == 1 and reason.startswith("BlockingIOError")
+    with pytest.raises(ConnectionLostError):
+        session.poll(DEFAULT_CONNECT_TIMEOUT)
+    session.close()
 
 
 # -- pacer -------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Environment facade tests: reset/step semantics, probe, config files."""
 
 import itertools
+import os
+import signal
 import time
 
 import numpy as np
@@ -12,8 +14,9 @@ from fbenv.errors import ConnectionLostError, InvalidStateError
 from fbenv.framebuffer import crop, downsample, to_grayscale
 from fbenv.keys import KEY_LEFT, KEY_RIGHT, KEY_SPACE
 from fbenv.server import MockServer
+from fbenv.wire import FramebufferUpdateRequest
 
-from helpers import oracle_start_position, oracle_survival_ticks, reference_parse_client_message
+from helpers import oracle_start_position, oracle_survival_ticks, reference_parse_client_message, server_process
 
 LEFT_ACTION = 1
 RIGHT_ACTION = 2
@@ -246,18 +249,41 @@ def test_lockstep_waits_out_a_slow_server(server_factory, monkeypatch):
 
 
 def test_lockstep_step_raises_when_no_update_comes(env_factory, monkeypatch):
+    # an in-process server serves the request on the step's own thread, so
+    # a slow one only delays the update; one that never answers fails it
     env, _ = env_factory(lockstep=True)
     env.reset()
-    original = MockServer._update_payload
+    original = MockServer._dispatch
 
-    def stall(self, incremental):
-        time.sleep(0.5)
-        return original(self, incremental)
+    def ignore_requests(self, message):
+        if isinstance(message, FramebufferUpdateRequest):
+            return None
+        return original(self, message)
 
     monkeypatch.setattr(fbenv.env, "DEFAULT_CONNECT_TIMEOUT", 0.2)
-    monkeypatch.setattr(MockServer, "_update_payload", stall)
+    monkeypatch.setattr(MockServer, "_dispatch", ignore_requests)
+    started = time.monotonic()
     with pytest.raises(ConnectionLostError):
         env.step(NOOP_ACTION)
+    assert 0.2 <= time.monotonic() - started < 2.0
+
+
+def test_lockstep_step_raises_while_the_server_process_is_stopped(monkeypatch):
+    with server_process("--lockstep", "--seed", "11") as (process, port, _):
+        with make_env(EnvConfig(port=port, lockstep=True)) as env:
+            env.reset()
+            env.step(NOOP_ACTION)
+            monkeypatch.setattr(fbenv.env, "DEFAULT_CONNECT_TIMEOUT", 0.2)
+            process.send_signal(signal.SIGSTOP)
+            os.waitpid(process.pid, os.WUNTRACED)  # returns once the child has stopped
+            try:
+                started = time.monotonic()
+                with pytest.raises(ConnectionLostError):
+                    env.step(NOOP_ACTION)
+                elapsed = time.monotonic() - started
+            finally:
+                process.send_signal(signal.SIGCONT)
+    assert 0.2 <= elapsed < 2.0
 
 
 def test_action_latching_holds_one_key(env_factory):

@@ -203,3 +203,28 @@ def test_server_keeps_listening_through_fuzzed_clients(server_factory):
     with socket.create_connection(("127.0.0.1", server.side_channel_port), timeout=5.0) as side:
         side.sendall(b"HASH\n")
         assert side.recv(64).endswith(b" 1\n")
+
+
+def test_fuzzed_bytes_through_an_in_process_session_meet_typed_errors_only(server_factory):
+    server = server_factory(lockstep=True, seed=11)
+
+    @fuzz_settings
+    @given(payload=client_bytes)
+    def fuzz(payload):
+        dropped_before = server.drops[0]
+        with connect("127.0.0.1", server.port, timeout=2.0) as session:
+            session._sock.sendall(payload)
+            try:
+                for _ in range(2):  # each write serves what came before it on this thread
+                    session.poll(0.05)
+            except FbenvError:
+                pass  # a drop, or replies in a pixel format the payload chose
+        # the request bytes after the payload may complete or spoil its tail
+        dropped, reason = server.drops
+        assert dropped - dropped_before in ((1,) if server_drops(payload) else (0, 1))
+        if dropped > dropped_before:
+            assert reason.split(":")[0] in vars(fbenv.errors)
+
+    fuzz()
+    with connect("127.0.0.1", server.port) as session:
+        assert session.poll(1.0)
