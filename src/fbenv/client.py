@@ -8,11 +8,13 @@ so a lockstep step's keys and its request share one ``sendall``. Each
 request runs one receive loop: it waits for an update, then applies
 what else has already arrived. The socket blocks, and is read with
 ``MSG_DONTWAIT``; a receive waits on the deadline only while nothing has
-arrived. When :func:`connect` reaches a lockstep
-:class:`~fbenv.server.MockServer` in this process, found in
-``_IN_PROCESS_LOCKSTEP`` by its listener's address, the session serves
-the server's end of the connection on its own thread after each write,
-so a step involves no other thread; the bytes still cross the socket.
+arrived. :func:`connect` enters its connection in
+``_IN_PROCESS_CLIENTS`` for the length of the handshake; a lockstep
+:class:`~fbenv.server.MockServer` in this process that accepts it takes
+the entry and hands back the server's end of the connection, which the
+session serves on its own thread after each write, so a step involves
+no other thread; the bytes still cross the socket. Closing the socket
+ends the server's side too.
 Two capture styles share one loop: a
 fixed-rate callback loop paced by :class:`Pacer` and an unrestricted
 tight poll loop that captures as fast as the server round-trips.
@@ -33,7 +35,6 @@ import select
 import socket
 import struct
 import time
-import weakref
 from dataclasses import dataclass
 
 from .errors import (
@@ -67,9 +68,9 @@ DEFAULT_CONNECT_TIMEOUT = 5.0
 #: waits DEFAULT_CONNECT_TIMEOUT instead and raises, never reusing a frame.
 POLL_DEADLINE = 0.1
 
-#: Lockstep MockServers running in this process, by listener address;
-#: ``fbenv.server`` keeps it.
-_IN_PROCESS_LOCKSTEP: dict[tuple, object] = {}
+#: Connections :func:`connect` is handshaking, by (client address, server
+#: address); a lockstep server in this process appends its end of one.
+_IN_PROCESS_CLIENTS: dict[tuple, list] = {}
 
 
 class SessionState(enum.Enum):
@@ -181,8 +182,6 @@ class Session:
     def close(self) -> None:
         if self.state is not SessionState.CLOSED:
             self.state = SessionState.CLOSED
-            if self._server_end is not None:
-                self._server_end.release()
             try:
                 self._sock.close()
             except OSError:
@@ -393,26 +392,26 @@ def connect(
 
     On return the session is Ready: the pixel format and raw encoding are
     negotiated and one full framebuffer update has been applied
-    (generation 1). A lockstep server in this process learns the
-    session's address before the handshake and hands it the server's
-    end of the connection to serve.
+    (generation 1). A lockstep server in this process hands the session
+    the server's end of the connection to serve during the handshake.
+    A connection lost during set-up, by a reset too, raises
+    ConnectionLostError.
     """
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
     except (TimeoutError, socket.timeout) as exc:
         raise ConnectTimeoutError(f"connect to {host}:{port} timed out") from exc
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    sock.settimeout(timeout)
-    server_end = None
     try:
-        server = _IN_PROCESS_LOCKSTEP.get(sock.getpeername())
-        if server is not None:
-            server_end = server._expect(sock.getsockname())
-        server_init = perform_handshake(sock)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(timeout)
+        key = (sock.getsockname(), sock.getpeername())
+        server_ends = _IN_PROCESS_CLIENTS[key] = []
+        try:
+            server_init = perform_handshake(sock)
+        finally:
+            _IN_PROCESS_CLIENTS.pop(key, None)
         session = Session(sock, server_init, requested_format)
-        if server_end is not None:
-            session._server_end = server_end
-            weakref.finalize(session, server_end.release)  # a session dropped unclosed frees the server too
+        session._server_end = server_ends[0] if server_ends else None
         session._send(
             encode_client_message(SetPixelFormat(requested_format))
             + encode_client_message(SetEncodings((ENCODING_RAW,)))
@@ -420,10 +419,10 @@ def connect(
         session.state = SessionState.READY
         session.refresh(timeout)
     except BaseException as exc:
-        if server_end is not None:
-            server_end.release()
         sock.close()
         if isinstance(exc, (TimeoutError, socket.timeout)):
             raise ConnectTimeoutError(f"handshake with {host}:{port} timed out") from exc
+        if isinstance(exc, OSError):
+            raise ConnectionLostError(f"connection to {host}:{port} lost: {exc}") from exc
         raise
     return session

@@ -41,16 +41,18 @@ send and never blocks. Two callers feed it. A client in another
 process, a raw socket or a client of a timed server is served by a
 ``recv`` loop on the connection's thread. A client that
 :func:`fbenv.client.connect` opened in this process to a lockstep server
-registers its address before the handshake; the connection's thread then
-parks after the handshake, and the client's own thread serves the
-server's end (:class:`_ServerEnd`) after each of its writes, so a
-lockstep step hands no work to another thread. Every byte still crosses
-the socket either way.
+enters its connection in ``fbenv.client._IN_PROCESS_CLIENTS`` before the
+handshake; the handshake takes the entry and hands the client the
+server's end (:class:`_ServerEnd`), which the client's own thread serves
+after each of its writes, so a lockstep step hands no work to another
+thread. The connection's thread then parks until the socket hangs up:
+the client closes it (or is collected), a drop or ``stop()`` shuts it
+down. Every byte still crosses the socket either way.
 
 Sockets block, and :meth:`MockServer.stop` wakes them: it shuts down both
 listeners and every open connection, which makes a blocked ``accept()``
-raise and a blocked ``recv()`` return ``b""``, and it releases a parked
-connection thread, so every thread sees the stop at once. The only
+raise, a blocked ``recv()`` return ``b""`` and a parked connection thread
+see the hang-up, so every thread sees the stop at once. The only
 timeouts bound a stalled peer: a handshake that stalls for STALL_TIMEOUT
 seconds, or a send that does, drops the client; on the client's thread,
 a reply the kernel will not take at once drops it. A connected client
@@ -59,6 +61,7 @@ that sends nothing is kept.
 
 from __future__ import annotations
 
+import select
 import socket
 import struct
 import threading
@@ -67,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import game
-from .client import _IN_PROCESS_LOCKSTEP, Pacer
+from .client import _IN_PROCESS_CLIENTS, Pacer
 from .fnv import fnv1a64
 from .keys import KEY_LEFT, KEY_RIGHT, KEY_SPACE
 from .wire import (
@@ -119,8 +122,6 @@ class MockServer:
         self._listener: socket.socket | None = None
         self._side_listener: socket.socket | None = None
         self._conns: set[socket.socket] = set()  # open connections, under the lock
-        self._expected: dict[tuple, _ServerEnd] = {}  # in-process clients by address, before their handshake
-        self._parked: _ServerEnd | None = None  # the client serving itself now, under the lock
         self._drops = 0  # clients dropped on an error, under the lock
         self._last_drop: str | None = None  # "ExceptionType: message", under the lock
         self._episode = 0
@@ -138,22 +139,16 @@ class MockServer:
         self._side_listener = self._bind(self.config.side_channel_port)
         self._spawn(self._serve_rfb_port, "fbenv-server-accept")
         self._spawn(self._serve_side_port, "fbenv-server-hash")
-        if self.config.lockstep:
-            _IN_PROCESS_LOCKSTEP[self._listener.getsockname()] = self
-        else:
+        if not self.config.lockstep:
             self._spawn(self._ticker_loop, "fbenv-server-ticker")
         return self
 
     def stop(self) -> None:
         """Wake every blocked socket by shutting it down, then join the
         threads and close the listeners."""
-        if self._listener is not None and not self._stop.is_set():  # not closed by a first stop()
-            _IN_PROCESS_LOCKSTEP.pop(self._listener.getsockname(), None)
         self._stop.set()
         with self._lock:
             sockets = [self._listener, self._side_listener, *self._conns]
-            if self._parked is not None:
-                self._parked.released.set()
         for sock in sockets:
             if sock is not None:
                 try:
@@ -321,15 +316,17 @@ class MockServer:
 
     def _serve_client(self, conn: socket.socket) -> None:
         """Handshake, then serve the client with a ``recv`` loop; a client
-        in this process that registered itself serves this end on its own
-        thread instead, while this thread parks until it is released."""
+        in this process that entered its connection serves this end on its
+        own thread instead, while this thread parks until conn hangs up."""
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn.settimeout(STALL_TIMEOUT)
         end = self._handshake(conn)
         if end is not None:
-            end.released.wait()
-            with end.guard, self._lock:  # the client's thread is done with conn
-                self._parked = None
+            hangup = select.poll()  # POLLHUP and POLLERR are always reported
+            hangup.register(conn, select.POLLRDHUP)
+            hangup.poll()
+            with end.guard:  # the client's thread is done with conn
+                end.conn = None
             return
         buffer = bytearray()
         while chunk := conn.recv(65536):
@@ -339,8 +336,9 @@ class MockServer:
     def _handshake(self, conn: socket.socket) -> _ServerEnd | None:
         """Run the server side of the 3.8 handshake and start the client
         on a fresh frame; a refusal sends its reason, then raises
-        ProtocolError to drop the client. Returns the client's
-        :class:`_ServerEnd` if it registered one before the handshake."""
+        ProtocolError to drop the client. Returns the :class:`_ServerEnd`
+        handed to a client that entered its connection in
+        ``_IN_PROCESS_CLIENTS`` before the handshake."""
         conn.sendall(PROTOCOL_VERSION)
         client_version = read_exact(conn, 12)
         if client_version != PROTOCOL_VERSION:
@@ -355,17 +353,18 @@ class MockServer:
             raise ProtocolError(f"refused security type {chosen}")
         conn.sendall(struct.pack(">I", 0))  # SecurityResult OK
         read_exact(conn, 1)  # ClientInit; shared flag ignored, one client anyway
-        # conn blocks and the end is bound before ServerInit goes out: the
-        # client may serve conn as soon as its handshake returns
+        # conn blocks and the end is handed over before ServerInit goes
+        # out: the client may serve conn as soon as its handshake returns
         conn.settimeout(None)  # an idle client is kept; SO_SNDTIMEO bounds sends
         with self._lock:
             self._start_over(RGBX32)
             self._generation = 0
-            end = self._parked = self._expected.pop(conn.getpeername(), None)
-            if end is not None:
-                end.conn = conn
-                if self._stop.is_set():  # stop() has already looked for a parked end
-                    end.released.set()
+        end = None
+        if self.config.lockstep:
+            ends = _IN_PROCESS_CLIENTS.pop((conn.getpeername(), conn.getsockname()), None)
+            if ends is not None:
+                end = _ServerEnd(self, conn)
+                ends.append(end)
         name = SERVER_NAME.encode("ascii")
         conn.sendall(
             struct.pack(">HH", game.SCREEN_WIDTH, game.SCREEN_HEIGHT)
@@ -373,12 +372,6 @@ class MockServer:
             + struct.pack(">I", len(name))
             + name
         )
-        return end
-
-    def _expect(self, address: tuple) -> _ServerEnd:
-        """Register a client in this process by its address, before its
-        handshake; :func:`fbenv.client.connect` calls this."""
-        end = self._expected[address] = _ServerEnd(self, address)
         return end
 
     def _replies(self, buffer: bytearray, chunk: bytes):
@@ -484,16 +477,14 @@ class MockServer:
 class _ServerEnd:
     """The server's end of a connection from a client in this process.
 
-    The connection's thread runs the handshake, binds :attr:`conn` and
-    parks until :attr:`released` is set: by the client's close, by a drop
-    or by :meth:`MockServer.stop`. Meanwhile the client calls
-    :meth:`serve` on its own thread after each write.
+    The connection's thread runs the handshake and hands this end to the
+    client, which calls :meth:`serve` on its own thread after each write.
+    The connection's thread parks until :attr:`conn` hangs up, then sets
+    it to None and closes it.
     """
 
-    def __init__(self, server: MockServer, address: tuple):
-        self.address = address
-        self.conn: socket.socket | None = None  # bound before ServerInit is sent
-        self.released = threading.Event()
+    def __init__(self, server: MockServer, conn: socket.socket):
+        self.conn: socket.socket | None = conn  # None once conn hangs up or the client is dropped
         self.guard = threading.Lock()  # held while the client's thread uses conn
         self._server = server
         self._buffer = bytearray()
@@ -507,13 +498,12 @@ class _ServerEnd:
         client stopped reading, and drops it, like any other error here.
         """
         with self.guard:
-            if self.released.is_set():
+            if self.conn is None:
                 return
             try:
                 while written > 0:
                     chunk = self._receive()
-                    if not chunk:
-                        self.released.set()
+                    if not chunk:  # stop() shut conn down
                         return
                     written -= len(chunk)
                     for reply in self._server._replies(self._buffer, chunk):
@@ -522,10 +512,10 @@ class _ServerEnd:
             except (OSError, FbenvError, ValueError) as exc:  # drop this client
                 self._server._count_drop(exc)
                 try:
-                    self.conn.shutdown(socket.SHUT_RDWR)  # the client sees the end at once
+                    self.conn.shutdown(socket.SHUT_RDWR)  # the client sees the end, the parked thread wakes
                 except OSError:
                     pass
-                self.released.set()
+                self.conn = None  # what the client sent after the fault is not served
 
     def _receive(self) -> bytes:
         """One chunk of what the client wrote; b"" once it has closed."""
@@ -537,12 +527,6 @@ class _ServerEnd:
                 return self.conn.recv(65536)
             finally:
                 self.conn.settimeout(None)
-
-    def release(self) -> None:
-        """The client is done: withdraw its registration if the handshake
-        never took it, and let the parked connection thread close."""
-        self._server._expected.pop(self.address, None)
-        self.released.set()
 
 
 def serve(config: ServerConfig | None = None) -> MockServer:

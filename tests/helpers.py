@@ -313,6 +313,20 @@ class RecordingServer:
         return data
 
 
+# -- the side channel --------------------------------------------------------
+
+
+def side_channel_hash(port: int) -> tuple[int, int]:
+    """The server's (mirror digest, update count), asked with one HASH line."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+        sock.sendall(b"HASH\n")
+        line = b""
+        while not line.endswith(b"\n"):
+            line += sock.recv(64)
+    digest, generation = line.split()
+    return int(digest, 16), int(generation)
+
+
 # -- a server in its own process ---------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Integration tests: live sessions against the in-repo server."""
 
+import contextlib
 import gc
 import socket
 import struct
@@ -39,17 +40,15 @@ from fbenv.wire import (
     perform_handshake,
 )
 
-from helpers import TEST_FORMATS, encode_client_cut_text, reference_parse_client_message, RecordingServer
-
-
-def side_channel_hash(port: int) -> tuple[int, int]:
-    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
-        sock.sendall(b"HASH\n")
-        line = b""
-        while not line.endswith(b"\n"):
-            line += sock.recv(64)
-    digest, generation = line.split()
-    return int(digest, 16), int(generation)
+from helpers import (
+    TEST_FORMATS,
+    RecordingServer,
+    encode_client_cut_text,
+    handshake_script,
+    reference_parse_client_message,
+    server_process,
+    side_channel_hash,
+)
 
 
 # -- connection lifecycle ----------------------------------------------------
@@ -76,26 +75,49 @@ def test_connect_to_closed_port_raises():
         connect("127.0.0.1", free_port)
 
 
-def test_connect_rejects_vnc_auth_only_server():
+@contextlib.contextmanager
+def one_shot_server(serve_conn):
+    """Listen on a free port, run ``serve_conn`` on one accepted
+    connection on a thread, then close it; yields the port."""
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
 
-    def fake_server():
+    def serve_one():
         conn, _ = listener.accept()
         with conn:
-            conn.sendall(b"RFB 003.008\n")
-            conn.recv(12)
-            conn.sendall(b"\x01\x02")  # offers VNC auth only
+            serve_conn(conn)
 
-    thread = threading.Thread(target=fake_server, daemon=True)
+    thread = threading.Thread(target=serve_one, daemon=True)
     thread.start()
     try:
-        with pytest.raises(UnsupportedSecurityError):
-            connect("127.0.0.1", listener.getsockname()[1])
+        yield listener.getsockname()[1]
     finally:
         listener.close()
         thread.join(timeout=5.0)
+
+
+@pytest.mark.parametrize("greet_first", [False, True], ids=["at-once", "after-greeting"])
+def test_connect_turns_a_reset_during_the_handshake_into_connection_lost(greet_first):
+    def reset(conn):
+        if greet_first:
+            conn.sendall(b"RFB 003.008\n")
+            conn.recv(12)  # the client's version
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))  # close sends RST
+
+    with one_shot_server(reset) as port, pytest.raises(ConnectionLostError):
+        connect("127.0.0.1", port)
+    assert not fbenv.client._IN_PROCESS_CLIENTS
+
+
+def test_connect_rejects_vnc_auth_only_server():
+    def offer_vnc_auth_only(conn):
+        conn.sendall(b"RFB 003.008\n")
+        conn.recv(12)
+        conn.sendall(b"\x01\x02")
+
+    with one_shot_server(offer_vnc_auth_only) as port, pytest.raises(UnsupportedSecurityError):
+        connect("127.0.0.1", port)
 
 
 def test_server_refuses_old_client_version(server_factory):
@@ -389,6 +411,43 @@ def test_stop_during_an_in_process_session_fails_the_next_poll_at_once(server_fa
         session.poll(DEFAULT_CONNECT_TIMEOUT)
     assert time.monotonic() - started < 0.5
     assert session.state is SessionState.CLOSED
+
+
+def test_closing_only_the_socket_of_an_in_process_session_frees_the_server(server_factory):
+    server = server_factory(lockstep=True, seed=11)
+    first = connect("127.0.0.1", server.port)
+    assert first.poll(DEFAULT_CONNECT_TIMEOUT)
+    first._sock.close()  # the session itself is neither closed nor collected
+    with connect("127.0.0.1", server.port, timeout=2.0) as second:
+        assert second.poll(DEFAULT_CONNECT_TIMEOUT)
+    assert first.state is SessionState.READY
+    first.close()
+
+
+def test_connect_leaves_no_in_process_entry_behind(server_factory):
+    lockstep = server_factory(lockstep=True, seed=11)
+    with connect("127.0.0.1", lockstep.port) as session:
+        assert session._server_end is not None
+        assert not fbenv.client._IN_PROCESS_CLIENTS
+        with pytest.raises(ConnectTimeoutError):  # the server is busy with the first
+            connect("127.0.0.1", lockstep.port, timeout=0.3)
+        assert not fbenv.client._IN_PROCESS_CLIENTS
+    timed = server_factory(tick_rate=30.0)
+    with connect("127.0.0.1", timed.port) as session:
+        assert session._server_end is None
+        assert not fbenv.client._IN_PROCESS_CLIENTS
+
+    def refuse(conn):
+        conn.sendall(handshake_script(security_types=b"", reason=b"busy"))
+        conn.recv(12)  # the client's version, read so the close sends no RST
+
+    with one_shot_server(refuse) as port, pytest.raises(HandshakeRefusedError):
+        connect("127.0.0.1", port)
+    assert not fbenv.client._IN_PROCESS_CLIENTS
+    with server_process("--lockstep") as (_, port, _):
+        with connect("127.0.0.1", port) as session:
+            assert session._server_end is None
+            assert not fbenv.client._IN_PROCESS_CLIENTS
 
 
 def test_an_in_process_session_dropped_unclosed_frees_the_server(server_factory):
