@@ -394,16 +394,17 @@ def connect(
     negotiated and one full framebuffer update has been applied
     (generation 1). A lockstep server in this process hands the session
     the server's end of the connection to serve during the handshake.
-    A connection lost during set-up, by a reset too, raises
+    A connection refused, or lost during set-up by a reset too, raises
     ConnectionLostError.
     """
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
-    except (TimeoutError, socket.timeout) as exc:
+    except TimeoutError as exc:
         raise ConnectTimeoutError(f"connect to {host}:{port} timed out") from exc
+    except OSError as exc:
+        raise ConnectionLostError(f"connect to {host}:{port} failed: {exc}") from exc
     try:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(timeout)
         key = (sock.getsockname(), sock.getpeername())
         server_ends = _IN_PROCESS_CLIENTS[key] = []
         try:
@@ -420,7 +421,7 @@ def connect(
         session.refresh(timeout)
     except BaseException as exc:
         sock.close()
-        if isinstance(exc, (TimeoutError, socket.timeout)):
+        if isinstance(exc, TimeoutError):
             raise ConnectTimeoutError(f"handshake with {host}:{port} timed out") from exc
         if isinstance(exc, OSError):
             raise ConnectionLostError(f"connection to {host}:{port} lost: {exc}") from exc

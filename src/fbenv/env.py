@@ -229,10 +229,6 @@ def make_env(config: EnvConfig) -> Env:
 # -- flat key=value config files -----------------------------------------
 
 
-def _format_action(keysym: int | None) -> str:
-    return "noop" if keysym is None else f"0x{keysym:x}"
-
-
 def _parse_action(token: str) -> int | None:
     token = token.strip().lower()
     if token == "noop":
@@ -246,34 +242,59 @@ def _parse_lockstep(value: str) -> bool:
     return value.lower() == "true"
 
 
+def _join(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+def _ints(value: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in value.split(","))
+
+
+#: file key -> (EnvConfig field, index into that field or None, writer,
+#: reader), in the order save_env_config writes them; a None value
+#: (a full-screen crop) writes no line
+_CONFIG_KEYS = {
+    "host": ("host", None, str, str),
+    "port": ("port", None, str, int),
+    "actions": (
+        "actions",
+        None,
+        lambda actions: ",".join("noop" if a is None else hex(a) for a in actions),
+        lambda value: tuple(_parse_action(t) for t in value.split(",")),
+    ),
+    "obs_width": ("obs_width", None, str, int),
+    "obs_height": ("obs_height", None, str, int),
+    "probe_x": ("probe_xy", 0, str, int),
+    "probe_y": ("probe_xy", 1, str, int),
+    "probe_rgb": ("probe_rgb", None, _join, _ints),
+    "probe_tolerance": ("probe_tolerance", None, str, int),
+    "reward_per_step": ("reward_per_step", None, repr, float),
+    "max_episode_steps": ("max_episode_steps", None, str, int),
+    "lockstep": ("lockstep", None, lambda flag: "true" if flag else "false", _parse_lockstep),
+    "tick_rate": ("tick_rate", None, repr, float),
+    "reset_keysym": ("reset_keysym", None, hex, lambda value: int(value, 0)),
+    "crop": ("crop", None, _join, _ints),
+}
+
+
 def save_env_config(config: EnvConfig, path) -> None:
     """Write a config as one `key = value` per line."""
-    lines = [
-        "# environment configuration",
-        f"host = {config.host}",
-        f"port = {config.port}",
-        f"actions = {','.join(_format_action(a) for a in config.actions)}",
-        f"obs_width = {config.obs_width}",
-        f"obs_height = {config.obs_height}",
-        f"probe_x = {config.probe_xy[0]}",
-        f"probe_y = {config.probe_xy[1]}",
-        f"probe_rgb = {','.join(str(c) for c in config.probe_rgb)}",
-        f"probe_tolerance = {config.probe_tolerance}",
-        f"reward_per_step = {config.reward_per_step!r}",
-        f"max_episode_steps = {config.max_episode_steps}",
-        f"lockstep = {'true' if config.lockstep else 'false'}",
-        f"tick_rate = {config.tick_rate!r}",
-        f"reset_keysym = 0x{config.reset_keysym:x}",
-    ]
-    if config.crop is not None:
-        lines.append(f"crop = {','.join(str(v) for v in config.crop)}")
+    lines = ["# environment configuration"]
+    for key, (field, index, write, _) in _CONFIG_KEYS.items():
+        value = getattr(config, field)
+        if index is not None:
+            value = value[index]
+        if value is not None:
+            lines.append(f"{key} = {write(value)}")
     with open(path, "w", encoding="ascii") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
 def load_env_config(path) -> EnvConfig:
-    """Parse a flat key=value config file; `#` starts a comment."""
-    values: dict[str, str] = {}
+    """Parse a flat key=value config file; `#` starts a comment. A key
+    left out keeps its EnvConfig default; so does the other half of
+    probe_x/probe_y."""
+    kwargs = {}
     with open(path, "r", encoding="ascii") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -281,39 +302,14 @@ def load_env_config(path) -> EnvConfig:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    kwargs = {}
-    parsers = {
-        "host": str,
-        "port": int,
-        "obs_width": int,
-        "obs_height": int,
-        "probe_tolerance": int,
-        "max_episode_steps": int,
-        "reward_per_step": float,
-        "tick_rate": float,
-        "reset_keysym": lambda v: int(v, 0),
-        "lockstep": _parse_lockstep,
-        "actions": lambda v: tuple(_parse_action(t) for t in v.split(",")),
-        "crop": lambda v: tuple(int(t) for t in v.split(",")),
-    }
-    probe: dict[str, int | tuple[int, ...]] = {}
-    for key, value in values.items():
-        if key in ("probe_x", "probe_y"):
-            probe[key] = int(value)
-        elif key == "probe_rgb":
-            probe[key] = tuple(int(t) for t in value.split(","))
-        elif key in parsers:
-            kwargs[key] = parsers[key](value)
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-    if "probe_x" in probe or "probe_y" in probe:
-        default = EnvConfig()
-        kwargs["probe_xy"] = (
-            probe.get("probe_x", default.probe_xy[0]),
-            probe.get("probe_y", default.probe_xy[1]),
-        )
-    if "probe_rgb" in probe:
-        kwargs["probe_rgb"] = probe["probe_rgb"]
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
+            field, index, _, read = _CONFIG_KEYS[key]
+            parsed = read(value)
+            if index is not None:
+                pair = list(kwargs.get(field, getattr(EnvConfig, field)))
+                pair[index] = parsed
+                parsed = tuple(pair)
+            kwargs[field] = parsed
     return EnvConfig(**kwargs)

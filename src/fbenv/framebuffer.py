@@ -23,10 +23,8 @@ import numpy as np
 from .errors import UnsupportedFormatError, UpdateRejectedError
 from .wire import FramebufferUpdate, PixelFormat, Rectangle
 
-# ITU-R BT.601 luma weights
-_LUMA_R = 0.299
-_LUMA_G = 0.587
-_LUMA_B = 0.114
+#: ITU-R BT.601 luma weights of R, G and B, in thousandths
+_LUMA_WEIGHTS = (299, 587, 114)
 
 
 @dataclass(eq=False)
@@ -173,11 +171,12 @@ def _luma(fb: Framebuffer, window=np.s_[:, :]) -> np.ndarray:
     if not fmt.true_color:
         raise UnsupportedFormatError("palette formats cannot be converted to grayscale")
     layout = _byte_channel_layout(fmt)
+    wr, wg, wb = _LUMA_WEIGHTS
     if layout is not None:
         arr = fb.as_array()[window]
-        gray = np.multiply(arr[..., layout[0]], 299, dtype=np.int32)
-        gray += np.multiply(arr[..., layout[1]], 587, dtype=np.int32)
-        gray += np.multiply(arr[..., layout[2]], 114, dtype=np.int32)
+        gray = np.multiply(arr[..., layout[0]], wr, dtype=np.int32)
+        gray += np.multiply(arr[..., layout[1]], wg, dtype=np.int32)
+        gray += np.multiply(arr[..., layout[2]], wb, dtype=np.int32)
         gray += 500
         gray //= 1000
         return gray.astype(np.uint8)
@@ -187,7 +186,7 @@ def _luma(fb: Framebuffer, window=np.s_[:, :]) -> np.ndarray:
     blue = (words >> fmt.blue_shift) & fmt.blue_max
     # gray = (numerator / denominator) rounded half-up, all integer
     gb, rb, rg = fmt.green_max * fmt.blue_max, fmt.red_max * fmt.blue_max, fmt.red_max * fmt.green_max
-    numerator = 255 * (299 * red * gb + 587 * green * rb + 114 * blue * rg)
+    numerator = 255 * (wr * red * gb + wg * green * rb + wb * blue * rg)
     denominator = 1000 * fmt.red_max * gb
     return ((2 * numerator + denominator) // (2 * denominator)).astype(np.uint8)
 
@@ -315,7 +314,7 @@ class GrayCells:
         if layout is not None:
             self._pixels = fb.as_array()[window]
             self._luma_weights = np.zeros(fb.format.bytes_per_pixel, dtype=np.float32)
-            self._luma_weights[list(layout)] = (299, 587, 114)
+            self._luma_weights[list(layout)] = _LUMA_WEIGHTS
         # the cell row of each pixel row, and the cell column of each pixel column
         row_cell = np.repeat(np.arange(out_height), np.diff(row_edges))
         col_cell = np.repeat(np.arange(out_width), np.diff(col_edges))

@@ -6,6 +6,10 @@ never sends one), and server-to-client messages limited to raw
 (encoding 0) framebuffer updates, Bell and ServerCutText. All multi-byte
 integers are big-endian on the wire.
 
+Each fixed layout is one module-level :class:`struct.Struct` that its
+encoder and its decoder share; encoding a field outside its wire integer
+range raises ValueError.
+
 Decoders are pure functions over byte buffers and return the number of
 bytes consumed, so callers own the socket buffering. A buffer that ends
 mid-message raises :class:`IncompleteMessageError`, which is retryable
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import (
     ConnectionLostError,
@@ -63,12 +67,21 @@ MAX_UPDATE_SCREENS = 2
 MAX_SCREEN_PIXELS = 1 << 24
 
 _PIXEL_FORMAT_STRUCT = struct.Struct(">BBBBHHHBBB3x")
+# message type, pad, U16 count: the head of SetEncodings and of FramebufferUpdate
+_COUNTED_HEAD = struct.Struct(">BxH")
+_SET_PIXEL_FORMAT = struct.Struct(f">B3x{_PIXEL_FORMAT_STRUCT.size}s")
+_UPDATE_REQUEST = struct.Struct(">BBHHHH")
+_KEY_EVENT = struct.Struct(">BB2xI")
+_POINTER_EVENT = struct.Struct(">BBHH")
+_CUT_TEXT_HEAD = struct.Struct(">B3xI")
+_RECTANGLE_HEAD = struct.Struct(">HHHHi")
 _VERSION_RE = re.compile(rb"^RFB (\d{3})\.(\d{3})\n$")
 
 
 @dataclass(frozen=True)
 class PixelFormat:
-    """Negotiated pixel layout, mirroring the 16-byte wire structure."""
+    """Negotiated pixel layout; its fields are the 16-byte wire structure's,
+    in wire order (``pack`` and ``unpack`` rely on it)."""
 
     bits_per_pixel: int
     depth: int
@@ -94,8 +107,8 @@ class PixelFormat:
                 ("blue", self.blue_max, self.blue_shift),
             ):
                 bits = cmax.bit_length()
-                if cmax < 1 or cmax != (1 << bits) - 1:
-                    raise ValueError(f"{name}-max {cmax} is not 2^k - 1")
+                if not 1 <= cmax <= 0xFFFF or cmax != (1 << bits) - 1:
+                    raise ValueError(f"{name}-max {cmax} is not 2^k - 1 in 16 bits")
                 if shift < 0 or shift + bits > self.bits_per_pixel:
                     raise ValueError(f"{name} channel exceeds {self.bits_per_pixel} bits")
                 mask = cmax << shift
@@ -108,24 +121,14 @@ class PixelFormat:
         return self.bits_per_pixel // 8
 
     def pack(self) -> bytes:
-        return _PIXEL_FORMAT_STRUCT.pack(
-            self.bits_per_pixel,
-            self.depth,
-            1 if self.big_endian else 0,
-            1 if self.true_color else 0,
-            self.red_max,
-            self.green_max,
-            self.blue_max,
-            self.red_shift,
-            self.green_shift,
-            self.blue_shift,
-        )
+        bpp, depth, be, tc, *channels = (getattr(self, field.name) for field in fields(self))
+        return _PIXEL_FORMAT_STRUCT.pack(bpp, depth, 1 if be else 0, 1 if tc else 0, *channels)
 
     @classmethod
     def unpack(cls, data: bytes) -> "PixelFormat":
-        bpp, depth, be, tc, rmax, gmax, bmax, rsh, gsh, bsh = _PIXEL_FORMAT_STRUCT.unpack(data)
+        bpp, depth, be, tc, *channels = _PIXEL_FORMAT_STRUCT.unpack(data)
         try:
-            return cls(bpp, depth, bool(be), bool(tc), rmax, gmax, bmax, rsh, gsh, bsh)
+            return cls(bpp, depth, bool(be), bool(tc), *channels)
         except ValueError as exc:
             raise ProtocolError(f"invalid pixel format: {exc}") from exc
 
@@ -227,47 +230,37 @@ class ServerInit:
             raise ValueError("screen dimensions must be positive")
 
 
-def _check_range(name: str, value: int, lo: int, hi: int) -> None:
-    if not lo <= value <= hi:
-        raise ValueError(f"{name} {value} outside {lo}..{hi}")
-
-
 def encode_client_message(msg: ClientMessage) -> bytes:
     """Serialize one client-to-server message to its exact wire bytes.
 
     Raises ValueError if any field falls outside its wire integer range.
     """
-    if isinstance(msg, SetPixelFormat):
-        return struct.pack(">B3x", MSG_SET_PIXEL_FORMAT) + msg.format.pack()
-    if isinstance(msg, SetEncodings):
-        _check_range("encoding count", len(msg.encodings), 0, 0xFFFF)
-        for enc in msg.encodings:
-            _check_range("encoding id", enc, -(1 << 31), (1 << 31) - 1)
-        return struct.pack(
-            f">BxH{len(msg.encodings)}i", MSG_SET_ENCODINGS, len(msg.encodings), *msg.encodings
-        )
-    if isinstance(msg, FramebufferUpdateRequest):
-        r = msg.region
-        for name, value in (("x", r.x), ("y", r.y), ("width", r.width), ("height", r.height)):
-            _check_range(name, value, 0, 0xFFFF)
-        return struct.pack(
-            ">BBHHHH",
-            MSG_FRAMEBUFFER_UPDATE_REQUEST,
-            1 if msg.incremental else 0,
-            r.x,
-            r.y,
-            r.width,
-            r.height,
-        )
-    if isinstance(msg, KeyEvent):
-        _check_range("keysym", msg.keysym, 0, 0xFFFFFFFF)
-        return struct.pack(">BB2xI", MSG_KEY_EVENT, 1 if msg.down else 0, msg.keysym)
-    if isinstance(msg, PointerEvent):
-        _check_range("button mask", msg.button_mask, 0, 0xFF)
-        _check_range("x", msg.x, 0, 0xFFFF)
-        _check_range("y", msg.y, 0, 0xFFFF)
-        return struct.pack(">BBHH", MSG_POINTER_EVENT, msg.button_mask, msg.x, msg.y)
+    try:
+        if isinstance(msg, SetPixelFormat):
+            return _SET_PIXEL_FORMAT.pack(MSG_SET_PIXEL_FORMAT, msg.format.pack())
+        if isinstance(msg, SetEncodings):
+            count = len(msg.encodings)
+            head = _COUNTED_HEAD.pack(MSG_SET_ENCODINGS, count)
+            return head + struct.pack(f">{count}i", *msg.encodings)
+        if isinstance(msg, FramebufferUpdateRequest):
+            r = msg.region
+            return _UPDATE_REQUEST.pack(
+                MSG_FRAMEBUFFER_UPDATE_REQUEST, 1 if msg.incremental else 0, r.x, r.y, r.width, r.height
+            )
+        if isinstance(msg, KeyEvent):
+            return _KEY_EVENT.pack(MSG_KEY_EVENT, 1 if msg.down else 0, msg.keysym)
+        if isinstance(msg, PointerEvent):
+            return _POINTER_EVENT.pack(MSG_POINTER_EVENT, msg.button_mask, msg.x, msg.y)
+    except struct.error as exc:
+        raise ValueError(f"{type(msg).__name__} field outside its wire range: {exc}") from exc
     raise TypeError(f"not a client message: {msg!r}")
+
+
+def _unpack(layout: struct.Struct, data, offset: int = 0) -> tuple:
+    """The fields of ``layout`` at ``offset`` in ``data``; raises
+    IncompleteMessageError while ``data`` ends before they do."""
+    _need(data, offset + layout.size)
+    return layout.unpack_from(data, offset)
 
 
 def _need(data, count: int) -> None:
@@ -284,26 +277,22 @@ def decode_client_message(data) -> tuple[ClientMessage, int]:
     _need(data, 1)
     msg_type = data[0]
     if msg_type == MSG_SET_PIXEL_FORMAT:
-        _need(data, 20)
-        return SetPixelFormat(PixelFormat.unpack(bytes(data[4:20]))), 20
+        _, packed = _unpack(_SET_PIXEL_FORMAT, data)
+        return SetPixelFormat(PixelFormat.unpack(packed)), _SET_PIXEL_FORMAT.size
     if msg_type == MSG_SET_ENCODINGS:
-        _need(data, 4)
-        (count,) = struct.unpack(">H", data[2:4])
-        _need(data, 4 + 4 * count)
-        encodings = struct.unpack(f">{count}i", data[4 : 4 + 4 * count])
-        return SetEncodings(tuple(encodings)), 4 + 4 * count
+        _, count = _unpack(_COUNTED_HEAD, data)
+        end = _COUNTED_HEAD.size + 4 * count
+        _need(data, end)
+        return SetEncodings(struct.unpack_from(f">{count}i", data, _COUNTED_HEAD.size)), end
     if msg_type == MSG_FRAMEBUFFER_UPDATE_REQUEST:
-        _need(data, 10)
-        incremental, x, y, w, h = struct.unpack(">BHHHH", data[1:10])
-        return FramebufferUpdateRequest(bool(incremental), Rectangle(x, y, w, h)), 10
+        _, incremental, x, y, w, h = _unpack(_UPDATE_REQUEST, data)
+        return FramebufferUpdateRequest(bool(incremental), Rectangle(x, y, w, h)), _UPDATE_REQUEST.size
     if msg_type == MSG_KEY_EVENT:
-        _need(data, 8)
-        down, keysym = struct.unpack(">B2xI", data[1:8])
-        return KeyEvent(bool(down), keysym), 8
+        _, down, keysym = _unpack(_KEY_EVENT, data)
+        return KeyEvent(bool(down), keysym), _KEY_EVENT.size
     if msg_type == MSG_POINTER_EVENT:
-        _need(data, 6)
-        mask, x, y = struct.unpack(">BHH", data[1:6])
-        return PointerEvent(mask, x, y), 6
+        _, mask, x, y = _unpack(_POINTER_EVENT, data)
+        return PointerEvent(mask, x, y), _POINTER_EVENT.size
     if msg_type == MSG_CLIENT_CUT_TEXT:
         text, consumed = _decode_cut_text(data)
         return ClientCutText(text), consumed
@@ -314,12 +303,12 @@ def _decode_cut_text(data) -> tuple[str, int]:
     """The Latin-1 text of a client or server cut-text message (type,
     three pad bytes, U32 length, text) and the bytes it spans; a length
     over MAX_CUT_TEXT_LENGTH raises ProtocolError from the 8-byte header."""
-    _need(data, 8)
-    (length,) = struct.unpack(">I", data[4:8])
+    _, length = _unpack(_CUT_TEXT_HEAD, data)
     if length > MAX_CUT_TEXT_LENGTH:
         raise ProtocolError(f"cut text of {length} bytes exceeds {MAX_CUT_TEXT_LENGTH}")
-    _need(data, 8 + length)
-    return bytes(data[8 : 8 + length]).decode("latin-1"), 8 + length
+    end = _CUT_TEXT_HEAD.size + length
+    _need(data, end)
+    return bytes(data[_CUT_TEXT_HEAD.size : end]).decode("latin-1"), end
 
 
 def encode_framebuffer_update(rectangles) -> bytes:
@@ -328,9 +317,9 @@ def encode_framebuffer_update(rectangles) -> bytes:
     ``rectangles`` is a sequence of (Rectangle, pixel-bytes) pairs; the
     payload length must already match width * height * bytes-per-pixel.
     """
-    parts = [struct.pack(">BxH", MSG_FRAMEBUFFER_UPDATE, len(rectangles))]
+    parts = [_COUNTED_HEAD.pack(MSG_FRAMEBUFFER_UPDATE, len(rectangles))]
     for rect, payload in rectangles:
-        parts.append(struct.pack(">HHHHi", rect.x, rect.y, rect.width, rect.height, ENCODING_RAW))
+        parts.append(_RECTANGLE_HEAD.pack(rect.x, rect.y, rect.width, rect.height, ENCODING_RAW))
         parts.append(bytes(payload))
     return b"".join(parts)
 
@@ -347,17 +336,15 @@ def decode_server_message(data, fmt: PixelFormat, screen: tuple[int, int]) -> tu
     _need(data, 1)
     msg_type = data[0]
     if msg_type == MSG_FRAMEBUFFER_UPDATE:
-        _need(data, 4)
-        (count,) = struct.unpack(">H", data[2:4])
+        _, count = _unpack(_COUNTED_HEAD, data)
         screen_w, screen_h = screen
         payload_cap = MAX_UPDATE_SCREENS * screen_w * screen_h * fmt.bytes_per_pixel
         declared = 0
-        offset = 4
+        offset = _COUNTED_HEAD.size
         rectangles = []
         for _ in range(count):
-            _need(data, offset + 12)
-            x, y, w, h, encoding = struct.unpack(">HHHHi", data[offset : offset + 12])
-            offset += 12
+            x, y, w, h, encoding = _unpack(_RECTANGLE_HEAD, data, offset)
+            offset += _RECTANGLE_HEAD.size
             if encoding != ENCODING_RAW:
                 raise UnsupportedEncodingError(f"encoding {encoding} not supported (raw only)")
             if x + w > screen_w or y + h > screen_h:

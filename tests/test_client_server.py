@@ -71,7 +71,7 @@ def test_connect_to_closed_port_raises():
     probe.bind(("127.0.0.1", 0))
     free_port = probe.getsockname()[1]
     probe.close()
-    with pytest.raises(ConnectionError):
+    with pytest.raises(ConnectionLostError):
         connect("127.0.0.1", free_port)
 
 

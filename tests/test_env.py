@@ -56,7 +56,7 @@ def test_unreachable_endpoint_raises():
     probe.bind(("127.0.0.1", 0))
     port = probe.getsockname()[1]
     probe.close()
-    with pytest.raises(ConnectionError):
+    with pytest.raises(ConnectionLostError):
         make_env(EnvConfig(port=port))
 
 
@@ -439,11 +439,36 @@ def test_config_parses_comments_and_spacing(tmp_path):
         "\n"
         "lockstep = true\n"
         "actions = noop,0xff51,0xff53\n"
+        "probe_y = 9\n"
     )
     config = load_env_config(path)
     assert config.port == 6000
     assert config.lockstep is True
     assert config.actions == (None, KEY_LEFT, KEY_RIGHT)
+    assert config.probe_xy == (EnvConfig().probe_xy[0], 9)
+
+
+def test_config_default_text_is_pinned(tmp_path):
+    path = tmp_path / "env.cfg"
+    save_env_config(EnvConfig(), path)
+    assert path.read_text() == (
+        "# environment configuration\n"
+        "host = 127.0.0.1\n"
+        "port = 5900\n"
+        "actions = noop,0xff51,0xff53\n"
+        "obs_width = 16\n"
+        "obs_height = 16\n"
+        "probe_x = 5\n"
+        "probe_y = 5\n"
+        "probe_rgb = 255,0,0\n"
+        "probe_tolerance = 10\n"
+        "reward_per_step = 0.03333333333333333\n"
+        "max_episode_steps = 3000\n"
+        "lockstep = false\n"
+        "tick_rate = 30.0\n"
+        "reset_keysym = 0x20\n"
+    )  # crop=None writes no crop line
+    assert load_env_config(path) == EnvConfig()
 
 
 def test_config_rejects_unknown_key(tmp_path):

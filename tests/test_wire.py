@@ -55,6 +55,7 @@ SCREEN = (160, 160)
 
 def test_key_event_bytes():
     assert encode_client_message(KeyEvent(True, 0xFF51)) == bytes.fromhex("04010000" "0000ff51")
+    assert encode_client_message(KeyEvent(2, 0xFF51)) == bytes.fromhex("04010000" "0000ff51")
 
 
 def test_pointer_event_all_zero():
@@ -84,16 +85,29 @@ def test_set_pixel_format_bytes():
 
 
 def test_encode_range_violations():
+    """Every message type rejects a field outside its wire integer range
+    with ValueError, never struct.error."""
+    out_of_range = [
+        SetEncodings((0,) * 0x10000),
+        SetEncodings((1 << 31,)),
+        FramebufferUpdateRequest(False, Rectangle(0x10000, 0, 1, 1)),
+        FramebufferUpdateRequest(True, Rectangle(0, -1, 1, 1)),
+        FramebufferUpdateRequest(False, Rectangle(0, 0, 0x10000, 1)),
+        KeyEvent(True, 1 << 32),
+        KeyEvent(False, -1),
+        PointerEvent(256, 0, 0),
+        PointerEvent(0, -1, 0),
+        PointerEvent(0, 0, 70000),
+        # palette formats skip the channel checks; a max still has 16 bits
+        SetPixelFormat(PixelFormat(32, 24, False, False, 1 << 16, 1, 1, 0, 0, 0)),
+    ]
+    for message in out_of_range:
+        with pytest.raises(ValueError):
+            encode_client_message(message)
     with pytest.raises(ValueError):
         encode_client_message(
-            FramebufferUpdateRequest(False, Rectangle(0x10000, 0, 1, 1))
+            SetPixelFormat(PixelFormat(32, 24, False, True, 2**17 - 1, 1, 1, 0, 17, 18))
         )
-    with pytest.raises(ValueError):
-        encode_client_message(KeyEvent(True, 1 << 32))
-    with pytest.raises(ValueError):
-        encode_client_message(PointerEvent(256, 0, 0))
-    with pytest.raises(ValueError):
-        encode_client_message(PointerEvent(0, 0, 70000))
 
 
 # -- round trips -------------------------------------------------------------
@@ -197,6 +211,8 @@ def test_pixel_format_rejects_depth_above_bpp():
 def test_pixel_format_rejects_non_power_max():
     with pytest.raises(ValueError):
         PixelFormat(32, 24, False, True, 254, 255, 255, 16, 8, 0)
+    with pytest.raises(ValueError, match="16 bits"):  # 2^17 - 1 fits 32 bpp but not the U16 field
+        PixelFormat(32, 24, False, True, 2**17 - 1, 1, 1, 0, 17, 18)
 
 
 def test_pixel_format_rejects_overlapping_channels():
