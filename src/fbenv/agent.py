@@ -126,12 +126,15 @@ class QTable:
 
     def max_value(self, key: int) -> float:
         row = self._rows.get(key)
-        return float(row.max()) if row is not None else 0.0
+        return max(row.tolist()) if row is not None else 0.0
 
     def best_action(self, key: int) -> int:
         """Argmax action; ties break toward the lowest action id."""
         row = self._rows.get(key)
-        return int(np.argmax(row)) if row is not None else 0
+        if row is None:
+            return 0
+        values = row.tolist()
+        return values.index(max(values))
 
     def save(self, path, config: AgentConfig | None = None) -> None:
         """Persist as `state-key <tab> q0 q1 ... qN` rows with a header."""
@@ -159,6 +162,8 @@ class QTable:
                 row = np.array([float(v) for v in values_text.split()])
                 if row.shape != (table.n_actions,):
                     raise ValueError(f"row for key {key_text} has {row.size} values")
+                if not np.isfinite(row).all():
+                    raise ValueError(f"row for key {key_text} holds a non-finite value")
                 table._rows[int(key_text)] = row
         return table
 
@@ -180,10 +185,11 @@ def ball_column(frame) -> int | None:
     argmax and yields None.
     """
     top, bottom = _ball_band(frame.height)
-    brightness = frame.values[top:bottom].max(axis=0)
-    if brightness.max() == brightness.min():
+    brightness = frame.values[top:bottom].max(axis=0).tolist()
+    brightest = max(brightness)
+    if brightest == min(brightness):
         return None
-    return int(np.argmax(brightness))
+    return brightness.index(brightest)
 
 
 def discretize(observation: Observation, previous: Observation | None) -> int:

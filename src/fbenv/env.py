@@ -139,11 +139,10 @@ class Env:
 
     def _probe_terminal(self) -> bool:
         x, y = self.config.probe_xy
-        actual = pixel_rgb(self.session.framebuffer, x, y)
-        return all(
-            abs(channel - expected) <= self.config.probe_tolerance
-            for channel, expected in zip(actual, self.config.probe_rgb)
-        )
+        red, green, blue = pixel_rgb(self.session.framebuffer, x, y)
+        expected_red, expected_green, expected_blue = self.config.probe_rgb
+        deviation = max(abs(red - expected_red), abs(green - expected_green), abs(blue - expected_blue))
+        return deviation <= self.config.probe_tolerance
 
     # -- episode control ---------------------------------------------------
 

@@ -145,6 +145,17 @@ def apply_update(fb: Framebuffer, update: FramebufferUpdate) -> Framebuffer:
     return fb
 
 
+def true_span(mask: np.ndarray) -> tuple[int, int] | None:
+    """Rows ``[first, last + 1)`` of a boolean mask (elements, if 1-D) that
+    hold a True, or None; a byte scan costs a fraction of numpy's reductions."""
+    flags = mask.tobytes()  # one 0 or 1 byte per value, row by row
+    first = flags.find(1)
+    if first < 0:
+        return None
+    row_size = mask.size // len(mask)
+    return first // row_size, flags.rfind(1) // row_size + 1
+
+
 def _byte_channel_layout(fmt: PixelFormat) -> tuple[int, int, int] | None:
     """Byte index of (R, G, B) within a pixel, for formats where each
     channel is a full byte; None when arithmetic decoding is needed."""
@@ -304,7 +315,7 @@ class GrayCells:
             raise ValueError(f"region {region} exceeds {fb.width}x{fb.height}")
         row_edges, col_edges, counts = _cell_grid(width, height, out_width, out_height)
         self._fb = fb
-        self._y, self._columns, self._width = y, slice(x, x + width), width
+        self._y, self._columns = y, slice(x, x + width)
         window = np.s_[y : y + height, x : x + width]
         self._live = fb.as_words()[window]
         self._words = self._live.copy()
@@ -329,10 +340,9 @@ class GrayCells:
     def observe(self) -> GrayFrame:
         """The region's cell means now, as a new frame."""
         np.not_equal(self._live, self._words, out=self._changed)
-        flags = self._changed.tobytes()  # one 0 or 1 byte per word, row by row
-        first = flags.find(1)
-        if first >= 0:
-            top, bottom = first // self._width, flags.rfind(1) // self._width + 1
+        rows = true_span(self._changed)
+        if rows is not None:
+            top, bottom = rows
             self._words[top:bottom] = self._live[top:bottom]
             self._refresh(top, bottom)
         out_height, out_width = self._cells.shape

@@ -72,6 +72,7 @@ import numpy as np
 from . import game
 from .client import _IN_PROCESS_CLIENTS, Pacer
 from .fnv import fnv1a64
+from .framebuffer import true_span
 from .keys import KEY_LEFT, KEY_RIGHT, KEY_SPACE
 from .wire import (
     ENCODING_RAW,
@@ -446,12 +447,11 @@ class MockServer:
             top, bottom = min(top, shown_top), max(bottom, shown_bottom)
         self._shown = self._game  # once the box below is copied, mirror == canonical
         changed = self._canonical[top:bottom] != self._mirror[top:bottom]
-        rows = np.flatnonzero(changed.any(axis=1))
-        if rows.size == 0:
+        rows = true_span(changed)
+        if rows is None:
             return []
-        cols = np.flatnonzero(changed.any(axis=0))
-        y0, y1 = top + int(rows[0]), top + int(rows[-1]) + 1
-        x0, x1 = int(cols[0]), int(cols[-1]) + 1
+        y0, y1 = top + rows[0], top + rows[1]
+        x0, x1 = true_span(changed.any(axis=0))
         region = self._canonical[y0:y1, x0:x1]
         self._mirror[y0:y1, x0:x1] = region
         return [(Rectangle(x0, y0, x1 - x0, y1 - y0), region.tobytes())]

@@ -99,17 +99,20 @@ class PixelFormat:
             raise ValueError(f"bits-per-pixel must be 8, 16 or 32, got {self.bits_per_pixel}")
         if not 1 <= self.depth <= self.bits_per_pixel:
             raise ValueError(f"depth {self.depth} outside 1..{self.bits_per_pixel}")
+        maxes = (self.red_max, self.green_max, self.blue_max)
+        shifts = (self.red_shift, self.green_shift, self.blue_shift)
+        # every format, palette ones too, must fit the wire's U16 maxes and U8 shifts
+        if not all(0 <= cmax <= 0xFFFF for cmax in maxes):
+            raise ValueError(f"color maxes {maxes} outside the wire's 16 bits")
+        if not all(0 <= shift <= 0xFF for shift in shifts):
+            raise ValueError(f"color shifts {shifts} outside the wire's 8 bits")
         if self.true_color:
             used = 0
-            for name, cmax, shift in (
-                ("red", self.red_max, self.red_shift),
-                ("green", self.green_max, self.green_shift),
-                ("blue", self.blue_max, self.blue_shift),
-            ):
+            for name, cmax, shift in zip(("red", "green", "blue"), maxes, shifts):
                 bits = cmax.bit_length()
-                if not 1 <= cmax <= 0xFFFF or cmax != (1 << bits) - 1:
-                    raise ValueError(f"{name}-max {cmax} is not 2^k - 1 in 16 bits")
-                if shift < 0 or shift + bits > self.bits_per_pixel:
+                if not cmax or cmax != (1 << bits) - 1:
+                    raise ValueError(f"{name}-max {cmax} is not 2^k - 1")
+                if shift + bits > self.bits_per_pixel:
                     raise ValueError(f"{name} channel exceeds {self.bits_per_pixel} bits")
                 mask = cmax << shift
                 if used & mask:

@@ -1,0 +1,69 @@
+"""The summary of tools/ab_pairs.py: quartiles, pair ratios, wins and
+the gain and bound rules, on hand-made pairs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "ab_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("ab_pairs", _PATH)
+ab_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab_pairs)
+
+METRICS = {
+    "ops_per_s": {"better": "higher", "bound": 0.25},
+    "cpu_us_per_op": {"better": "lower", "bound": 0.25},
+}
+
+
+def run(ops, cpu, correct=True, failed=0):
+    return {"correct": correct, "attempted": 100, "failed": failed,
+            "metrics": {"ops_per_s": ops, "cpu_us_per_op": cpu}}
+
+
+def pairs(parent, change):
+    return [{"pair": i, "parent": a, "change": b} for i, (a, b) in enumerate(zip(parent, change))]
+
+
+def test_summary_counts_wins_ratios_and_quartiles():
+    parent = [run(100.0 + i, 50.0) for i in range(10)]
+    change = [run(120.0 + i, 50.0 - i) for i in range(10)]
+    summary = ab_pairs.summarize(pairs(parent, change), METRICS)
+    assert summary["pairs"] == 10 and summary["all_correct"]
+    assert summary["failed"] == {"parent": 0, "change": 0}
+    ops = summary["metrics"]["ops_per_s"]
+    assert ops["parent"]["median"] == pytest.approx(104.5)
+    assert (ops["parent"]["q1"], ops["parent"]["q3"]) == pytest.approx((102.25, 106.75))
+    assert (ops["parent"]["min"], ops["parent"]["max"]) == (100.0, 109.0)
+    ratios = sorted((120 + i) / (100 + i) for i in range(10))
+    assert ops["median_of_pair_ratios"] == pytest.approx((ratios[4] + ratios[5]) / 2)
+    assert ops["change_wins"] == 10 and ops["gain"]
+    assert ops["change_worse_by"] == pytest.approx(-20 / 104.5)
+    assert ops["within_bound"]
+    cpu = summary["metrics"]["cpu_us_per_op"]
+    # pair 0 is a tie, which counts for neither side
+    assert cpu["change_wins"] == 9 and cpu["gain"]
+
+
+def test_gain_needs_nine_tenths_of_wins_and_a_shift_past_the_parent_iqr():
+    parent = [run(100.0 + 10 * (i % 2), 50.0) for i in range(10)]
+    # wins 8 of 10: no gain however large the shift
+    change = [run(200.0 if i < 8 else 50.0, 50.0) for i in range(10)]
+    assert not ab_pairs.summarize(pairs(parent, change), METRICS)["metrics"]["ops_per_s"]["gain"]
+    # wins every pair but by less than the parent's own spread
+    change = [run(a["metrics"]["ops_per_s"] + 1.0, 50.0) for a in parent]
+    ops = ab_pairs.summarize(pairs(parent, change), METRICS)["metrics"]["ops_per_s"]
+    assert ops["change_wins"] == 10 and not ops["gain"]
+
+
+def test_worsening_past_the_bound_and_failures_are_reported():
+    parent = [run(100.0, 50.0) for _ in range(4)]
+    change = [run(70.0, 70.0, correct=i != 2, failed=i) for i in range(4)]
+    summary = ab_pairs.summarize(pairs(parent, change), METRICS)
+    assert not summary["all_correct"]
+    assert summary["failed"] == {"parent": 0, "change": 6}
+    assert summary["metrics"]["ops_per_s"]["change_worse_by"] == pytest.approx(0.3)
+    assert not summary["metrics"]["ops_per_s"]["within_bound"]
+    assert summary["metrics"]["cpu_us_per_op"]["change_worse_by"] == pytest.approx(0.4)
+    assert not summary["metrics"]["cpu_us_per_op"]["within_bound"]

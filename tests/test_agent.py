@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fbenv.agent import (
     BLANK_KEY,
     AgentConfig,
     EpsilonSchedule,
     QTable,
+    _ball_band,
     ball_column,
     config_hash,
     discretize,
@@ -80,6 +82,24 @@ def test_all_zero_row_ties_to_lowest_id():
     assert select_action(q, 42, 0.0, rng) == 0
     q.row(42)[:] = [0.5, 0.5, 0.2]
     assert select_action(q, 42, 0.0, rng) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from([-1.5, -0.0, 0.0, 0.25, 3.0])
+        | st.floats(allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_best_action_and_max_value_match_numpy(values):
+    """On finite rows, ties included, the greedy pick is numpy's argmax
+    (the lowest tied id) and the bootstrap value numpy's max."""
+    q = QTable(len(values))
+    q.row(3)[:] = values
+    assert q.best_action(3) == int(np.argmax(values))
+    assert q.max_value(3) == float(np.max(values))
 
 
 def test_epsilon_one_is_uniform():
@@ -277,6 +297,23 @@ def test_terminal_and_blank_frames_use_reserved_key():
     assert discretize(dark, None) == BLANK_KEY
 
 
+@pytest.mark.parametrize("height, band_rows", [(1, 1), (16, 1), (40, 2), (160, 8)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ball_column_matches_numpy_argmax(height, band_rows, data):
+    """The ball column is numpy's argmax of the band's column maxima
+    (ties to the lowest column), and None for a uniform band."""
+    top, bottom = _ball_band(height)
+    assert bottom - top == band_rows
+    width = data.draw(st.integers(1, 24), label="width")
+    values = data.draw(arrays(np.uint8, (height, width), elements=st.integers(0, 3)))
+    if data.draw(st.booleans(), label="uniform band"):
+        values[top:bottom] = values[top, 0]
+    brightness = values[top:bottom].max(axis=0)
+    expected = None if brightness.max() == brightness.min() else int(np.argmax(brightness))
+    assert ball_column(GrayFrame(width, height, values)) == expected
+
+
 def test_discretizer_keys_cover_expected_range():
     for p in np.linspace(-1.0, 1.0, 41):
         key = discretize(observation(game_state(p=float(p))), None)
@@ -290,6 +327,14 @@ def test_qtable_load_names_a_file_without_the_header(tmp_path):
     path = tmp_path / "not-a-table.tsv"
     path.write_text("0\t1.0 2.0 3.0\n")
     with pytest.raises(ValueError, match="not-a-table.tsv"):
+        QTable.load(path)
+
+
+@pytest.mark.parametrize("values", ["nan 1.0 inf", "1.0 inf 2.0", "-inf 0.0 0.0"])
+def test_qtable_load_rejects_non_finite_values(tmp_path, values):
+    path = tmp_path / "q.tsv"
+    path.write_text(f"# n_actions=3 config_hash=0\n0\t1.0 2.0 3.0\n5\t{values}\n")
+    with pytest.raises(ValueError, match="key 5"):
         QTable.load(path)
 
 

@@ -98,16 +98,22 @@ def test_encode_range_violations():
         PointerEvent(256, 0, 0),
         PointerEvent(0, -1, 0),
         PointerEvent(0, 0, 70000),
-        # palette formats skip the channel checks; a max still has 16 bits
-        SetPixelFormat(PixelFormat(32, 24, False, False, 1 << 16, 1, 1, 0, 0, 0)),
     ]
     for message in out_of_range:
         with pytest.raises(ValueError):
             encode_client_message(message)
-    with pytest.raises(ValueError):
-        encode_client_message(
-            SetPixelFormat(PixelFormat(32, 24, False, True, 2**17 - 1, 1, 1, 0, 17, 18))
-        )
+    # a pixel format outside the wire's U16 maxes and U8 shifts is refused
+    # when built, palette ones too, so pack() never meets struct.error
+    for fields in [
+        (32, 24, False, True, 2**17 - 1, 1, 1, 0, 17, 18),
+        (32, 24, False, False, 1 << 16, 1, 1, 0, 0, 0),
+        (32, 24, False, False, 1, -1, 1, 0, 0, 0),
+        (32, 24, False, False, 1, 1, 1, 0, 300, 0),
+        (8, 8, False, False, 0, 0, 0, 0, 0, -1),
+        (32, 24, False, True, 255, 255, 255, 300, 8, 0),
+    ]:
+        with pytest.raises(ValueError):
+            PixelFormat(*fields).pack()
 
 
 # -- round trips -------------------------------------------------------------
