@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,13 +96,17 @@ class TrainReport:
 
 
 class QTable:
-    """State-key -> Q-value vector map; unseen states read as zeros."""
+    """State-key -> Q-value vector map; unseen states read as zeros.
+
+    A row is a list of Python floats, so a step's argmax, max and update
+    do no numpy scalar work; the arithmetic is float64 either way.
+    """
 
     def __init__(self, n_actions: int):
         if n_actions < 1:
             raise ValueError("need at least one action")
         self.n_actions = n_actions
-        self._rows: dict[int, np.ndarray] = {}
+        self._rows: dict[int, list[float]] = {}
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -111,30 +114,21 @@ class QTable:
     def keys(self):
         return self._rows.keys()
 
-    def values_for(self, key: int) -> np.ndarray:
-        """Q-vector for a state; a zero vector (copy) when unseen."""
-        row = self._rows.get(key)
-        return row.copy() if row is not None else np.zeros(self.n_actions)
-
-    def row(self, key: int) -> np.ndarray:
+    def row(self, key: int) -> list[float]:
         """Mutable Q-vector, created on first touch."""
         row = self._rows.get(key)
         if row is None:
-            row = np.zeros(self.n_actions)
-            self._rows[key] = row
+            row = self._rows[key] = [0.0] * self.n_actions
         return row
 
     def max_value(self, key: int) -> float:
         row = self._rows.get(key)
-        return max(row.tolist()) if row is not None else 0.0
+        return max(row) if row is not None else 0.0
 
     def best_action(self, key: int) -> int:
         """Argmax action; ties break toward the lowest action id."""
         row = self._rows.get(key)
-        if row is None:
-            return 0
-        values = row.tolist()
-        return values.index(max(values))
+        return row.index(max(row)) if row is not None else 0
 
     def save(self, path, config: AgentConfig | None = None) -> None:
         """Persist as `state-key <tab> q0 q1 ... qN` rows with a header."""
@@ -142,7 +136,7 @@ class QTable:
         with open(path, "w", encoding="ascii") as handle:
             handle.write(f"# n_actions={self.n_actions} config_hash={digest:016x}\n")
             for key in sorted(self._rows):
-                values = " ".join(repr(v) for v in self._rows[key].tolist())
+                values = " ".join(repr(float(v)) for v in self._rows[key])
                 handle.write(f"{key}\t{values}\n")
 
     @classmethod
@@ -159,10 +153,10 @@ class QTable:
                 if not line.strip():
                     continue
                 key_text, _, values_text = line.partition("\t")
-                row = np.array([float(v) for v in values_text.split()])
-                if row.shape != (table.n_actions,):
-                    raise ValueError(f"row for key {key_text} has {row.size} values")
-                if not np.isfinite(row).all():
+                row = [float(v) for v in values_text.split()]
+                if len(row) != table.n_actions:
+                    raise ValueError(f"row for key {key_text} has {len(row)} values")
+                if not all(map(math.isfinite, row)):
                     raise ValueError(f"row for key {key_text} holds a non-finite value")
                 table._rows[int(key_text)] = row
         return table
@@ -246,14 +240,6 @@ def update_q(
     if not math.isfinite(row[action]):
         raise ValueError("Q-value became non-finite")
     return q
-
-
-def greedy_policy(q: QTable) -> defaultdict:
-    """Per-state argmax table; unseen keys read as action 0."""
-    policy = defaultdict(int)
-    for key in q.keys():
-        policy[key] = q.best_action(key)
-    return policy
 
 
 def train(env: Env, config: AgentConfig, episodes: int) -> tuple[QTable, TrainReport]:

@@ -4,16 +4,22 @@ A session owns one TCP connection and is strictly single-owner: all
 operations run on the caller's thread, and writes hit the wire in call
 order. :meth:`Session.queue_key` holds key events back until the next
 write (an update request, another input event or :meth:`Session.flush`),
-so a lockstep step's keys and its request share one ``sendall``. Each
-request runs one receive loop: it waits for an update, then applies
-what else has already arrived. The socket blocks, and is read with
-``MSG_DONTWAIT``; a receive waits on the deadline only while nothing has
-arrived. :func:`connect` enters its connection in
+so a lockstep step's keys and its request share one ``sendall``; each
+``(keysym, down)`` pair is encoded once per session. Each request runs
+one receive loop: it waits for an update, then applies what else has
+already arrived. The socket blocks, and is read with ``MSG_DONTWAIT``; a
+receive waits on the deadline only while nothing has arrived, and no
+receive after a call's first starts once its deadline has passed, so a
+peer that floods the session holds a call for its timeout plus the
+decoding of one receive. :func:`connect` enters its connection in
 ``_IN_PROCESS_CLIENTS`` for the length of the handshake; a lockstep
 :class:`~fbenv.server.MockServer` in this process that accepts it takes
 the entry and hands back the server's end of the connection, which the
 session serves on its own thread after each write, so a step involves
-no other thread; the bytes still cross the socket. Closing the socket
+no other thread; the bytes still cross the socket. The in-process read
+rule: that end has written its whole reply when the write returns, and
+returns the count of bytes it wrote, so a request reads exactly that
+many and makes no receive that would find nothing. Closing the socket
 ends the server's side too.
 Two capture styles share one loop: a
 fixed-rate callback loop paced by :class:`Pacer` and an unrestricted
@@ -155,12 +161,17 @@ class Session:
         self._readable = select.poll()
         self._readable.register(sock, select.POLLIN)
         self._server_end = None  # a lockstep server's end in this process, served after each write
+        # bytes the server's end has sent that are not read yet; unknown
+        # (inf) for a server that this thread does not serve
+        self._unread = math.inf
         self.server_init = server_init
         self.format = fmt
+        self._screen = (server_init.width, server_init.height)
         self.framebuffer = Framebuffer.blank(server_init.width, server_init.height, fmt)
         self.state = SessionState.CONNECTING
         self._buffer = bytearray()
         self._queued = bytearray()  # encoded input events not yet written
+        self._key_events: dict[tuple[int, bool], bytes] = {}  # encoded KeyEvent, by (keysym, down)
         region = Rectangle(0, 0, server_init.width, server_init.height)
         self._requests = {  # the whole-screen update request, by incremental
             incremental: encode_client_message(FramebufferUpdateRequest(incremental, region))
@@ -211,7 +222,7 @@ class Session:
             self.close()
             raise ConnectionLostError(f"send failed: {exc}") from exc
         if self._server_end is not None:
-            self._server_end.serve(len(payload))
+            self._unread += self._server_end.serve(len(payload))
 
     def _recv_into_buffer(self, deadline: float) -> bool:
         """Pull one chunk off the socket, waiting until ``deadline`` (on
@@ -231,6 +242,7 @@ class Session:
         if not chunk:
             self.close()
             raise ConnectionLostError("server closed the connection")
+        self._unread -= len(chunk)
         self._buffer.extend(chunk)
         return True
 
@@ -239,9 +251,7 @@ class Session:
         if not self._buffer:
             return None
         try:
-            message, consumed = decode_server_message(
-                self._buffer, self.format, (self.width, self.height)
-            )
+            message, consumed = decode_server_message(self._buffer, self.format, self._screen)
         except IncompleteMessageError:
             return None
         except Exception:
@@ -258,19 +268,31 @@ class Session:
         Each FramebufferUpdate is applied; Bell and ServerCutText are
         dropped. Until one update is applied the loop receives for up to
         ``timeout`` seconds; after that it reads only what has already
-        arrived. True once an update is applied.
+        arrived. A server's end served on this thread has written its
+        whole reply before the request's write returns, and says how many
+        bytes it wrote, so the loop reads exactly those and returns once
+        they are applied. No receive after the first starts once
+        ``timeout`` has passed, so a peer that keeps sending holds the
+        call for about ``timeout`` plus the decoding of one chunk. True
+        once an update is applied.
         """
         self._require_ready()
         self._send(self._requests[incremental])
         deadline = time.monotonic() + timeout
-        applied = False
+        applied = received = False
         while True:
             message = self._decode_buffered()
-            if isinstance(message, FramebufferUpdate):
+            if message is None:
+                if applied and not self._unread:
+                    return True  # the whole in-process reply is applied
+                if received and time.monotonic() >= deadline:
+                    return applied
+                if not self._recv_into_buffer(0.0 if applied else deadline):
+                    return applied
+                received = True
+            elif isinstance(message, FramebufferUpdate):
                 apply_update(self.framebuffer, message)
                 applied = True
-            elif message is None and not self._recv_into_buffer(0.0 if applied else deadline):
-                return applied
 
     def refresh(self, timeout: float = DEFAULT_CONNECT_TIMEOUT) -> None:
         """Request a full (non-incremental) update and apply it to
@@ -363,17 +385,15 @@ class Session:
     def queue_key(self, keysym: int, down: bool) -> None:
         """Queue one key event for the session's next write."""
         self._require_ready()
-        self._queued += encode_client_message(KeyEvent(down, keysym))
+        event = self._key_events.get((keysym, down))
+        if event is None:
+            event = self._key_events[keysym, down] = encode_client_message(KeyEvent(down, keysym))
+        self._queued += event
 
     def flush(self) -> None:
         """Write the queued key events now."""
         if self._queued:
             self._send(b"")
-
-    def press_key(self, keysym: int) -> None:
-        """Key tap: down then up, in one write."""
-        self.queue_key(keysym, True)
-        self.send_key(keysym, False)
 
     def send_pointer(self, x: int, y: int, button_mask: int = 0) -> None:
         self._require_ready()
@@ -412,7 +432,8 @@ def connect(
         finally:
             _IN_PROCESS_CLIENTS.pop(key, None)
         session = Session(sock, server_init, requested_format)
-        session._server_end = server_ends[0] if server_ends else None
+        if server_ends:
+            session._server_end, session._unread = server_ends[0], 0
         session._send(
             encode_client_message(SetPixelFormat(requested_format))
             + encode_client_message(SetEncodings((ENCODING_RAW,)))

@@ -8,7 +8,12 @@ keeps it, redoing per step only the cell rows whose pixels changed (a
 paddle redraw touches two of the default 16). Episode end is detected
 by probing one framebuffer pixel for the server's solid-red
 terminal screen, and reward accrues per surviving step (default 1/30 so
-a second survived is worth one point at the standard tick rate).
+a second survived is worth one point at the standard tick rate). The
+probe is resolved when the Env is made: the byte offset of its pixel,
+the struct that reads its word and, per channel, the shift, the mask
+and the range of raw values whose 0..255 rescale is within the
+tolerance; a step then reads one word and compares each channel with
+its range, the same way in every true-colour format.
 
 Actions latch: a step that changes action queues key-up for the
 previously held key and key-down for its own, so exactly one directional
@@ -27,18 +32,33 @@ writes its key-up, its reset key tap and its refresh request at once.
 
 from __future__ import annotations
 
+import struct
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .client import DEFAULT_CONNECT_TIMEOUT, Pacer, Session, connect
-from .errors import ConnectionLostError, InvalidStateError, ResetTimeoutError
-# downsample is unused here; it stays importable as fbenv.env.downsample,
-# the name perfbench's tracer wraps
+from .errors import ConnectionLostError, InvalidStateError, ResetTimeoutError, UnsupportedFormatError
+# downsample and pixel_rgb are unused here; they stay importable as
+# fbenv.env.downsample and fbenv.env.pixel_rgb, the names perfbench's tracer wraps
 from .framebuffer import GrayCells, GrayFrame, downsample, pixel_rgb  # noqa: F401
 from .keys import KEY_LEFT, KEY_RIGHT, KEY_SPACE
 
 RESET_DEADLINE = 2.0
+
+#: struct code of one pixel word, by bytes per pixel
+_WORD_CODES = {1: "B", 2: "H", 4: "I"}
+
+
+def _channel_range(cmax: int, expected: int, tolerance: int) -> tuple[int, int]:
+    """Raw values ``[low, high]`` of a channel with color-max ``cmax``
+    whose 0..255 rescale (half-up, as :func:`fbenv.framebuffer.pixel_rgb`
+    gives it) is within ``tolerance`` of ``expected``; ``low > high`` when
+    none is."""
+    # the rescale floor((510 r + cmax) / (2 cmax)) is at least L exactly when
+    # 510 r >= cmax (2L - 1), and at most U exactly when 510 r < cmax (2U + 1)
+    low, high = expected - tolerance, expected + tolerance
+    return max(0, -(-cmax * (2 * low - 1) // 510)), min(cmax, (cmax * (2 * high + 1) - 1) // 510)
 
 
 @dataclass(frozen=True)
@@ -113,6 +133,24 @@ class Env:
         px, py = config.probe_xy
         if not (0 <= px < session.width and 0 <= py < session.height):
             raise ValueError(f"probe {config.probe_xy} outside {session.width}x{session.height} screen")
+        fb = session.framebuffer
+        fmt = fb.format
+        if not fmt.true_color:
+            raise UnsupportedFormatError("palette formats carry no direct RGB to probe")
+        # the probe, resolved once: where its word lies and each channel's
+        # (shift, color-max) and range of raw values within tolerance
+        self._pixels = fb.pixels
+        self._probe_offset = (py * fb.width + px) * fmt.bytes_per_pixel
+        byte_order = ">" if fmt.big_endian else "<"
+        self._probe_word = struct.Struct(byte_order + _WORD_CODES[fmt.bytes_per_pixel]).unpack_from
+        self._probe_channels = tuple(
+            (shift, cmax, *_channel_range(cmax, expected, config.probe_tolerance))
+            for shift, cmax, expected in zip(
+                (fmt.red_shift, fmt.green_shift, fmt.blue_shift),
+                (fmt.red_max, fmt.green_max, fmt.blue_max),
+                config.probe_rgb,
+            )
+        )
         self._step_index = 0
         self._episode_over = False
         self._held: int | None = None
@@ -138,11 +176,13 @@ class Env:
         return Observation(self._cells.observe(), self._step_index)
 
     def _probe_terminal(self) -> bool:
-        x, y = self.config.probe_xy
-        red, green, blue = pixel_rgb(self.session.framebuffer, x, y)
-        expected_red, expected_green, expected_blue = self.config.probe_rgb
-        deviation = max(abs(red - expected_red), abs(green - expected_green), abs(blue - expected_blue))
-        return deviation <= self.config.probe_tolerance
+        """Whether every channel of the probe pixel, rescaled to 0..255,
+        is within the tolerance of the probe colour."""
+        (word,) = self._probe_word(self._pixels, self._probe_offset)
+        for shift, cmax, low, high in self._probe_channels:
+            if not low <= (word >> shift) & cmax <= high:
+                return False
+        return True
 
     # -- episode control ---------------------------------------------------
 

@@ -71,9 +71,12 @@ class Framebuffer:
     generation: int = 0
 
     def __post_init__(self):
-        expected = self.width * self.height * self.format.bytes_per_pixel
+        bpp = self.format.bytes_per_pixel
+        expected = self.width * self.height * bpp
         if len(self.pixels) != expected:
             raise ValueError(f"pixel array is {len(self.pixels)} bytes, expected {expected}")
+        # made once: a view also keeps the pixels from being resized
+        self._array = np.frombuffer(self.pixels, dtype=np.uint8).reshape(self.height, self.width, bpp)
 
     @classmethod
     def blank(cls, width: int, height: int, fmt: PixelFormat) -> "Framebuffer":
@@ -81,8 +84,7 @@ class Framebuffer:
 
     def as_array(self) -> np.ndarray:
         """Writable (height, width, bytes-per-pixel) view of the pixels."""
-        bpp = self.format.bytes_per_pixel
-        return np.frombuffer(self.pixels, dtype=np.uint8).reshape(self.height, self.width, bpp)
+        return self._array
 
     def as_words(self) -> np.ndarray:
         """Writable (height, width) view of the pixels, one word each, in
@@ -100,47 +102,27 @@ def word_dtype(fmt: PixelFormat) -> np.dtype:
     return np.dtype(f"{byte_order}u{fmt.bytes_per_pixel}")
 
 
-def _check_rectangle(fb: Framebuffer, rect: Rectangle, pixel_bytes: bytes) -> None:
-    """Reject a rectangle that leaves the framebuffer or whose payload is
-    not exactly its pixels in the framebuffer's format."""
-    if rect.x < 0 or rect.y < 0 or rect.x + rect.width > fb.width or rect.y + rect.height > fb.height:
-        raise UpdateRejectedError(
-            f"rectangle ({rect.x},{rect.y},{rect.width},{rect.height}) "
-            f"exceeds {fb.width}x{fb.height} bounds"
-        )
-    expected = rect.width * rect.height * fb.format.bytes_per_pixel
-    if len(pixel_bytes) != expected:
-        raise UpdateRejectedError(f"payload is {len(pixel_bytes)} bytes, expected {expected}")
-
-
-def _write_rectangle(fb: Framebuffer, rect: Rectangle, pixel_bytes: bytes) -> None:
-    """Copy a rectangle already passed by :func:`_check_rectangle`."""
-    bpp = fb.format.bytes_per_pixel
-    src = np.frombuffer(pixel_bytes, dtype=np.uint8).reshape(rect.height, rect.width, bpp)
-    fb.as_array()[rect.y : rect.y + rect.height, rect.x : rect.x + rect.width] = src
-
-
-def apply_rectangle(fb: Framebuffer, rect: Rectangle, pixel_bytes: bytes) -> Framebuffer:
-    """Overwrite exactly the rectangle's rows with ``pixel_bytes``.
-
-    Validates bounds and payload length before touching anything, so a
-    rejected update leaves the framebuffer bit-identical.
-    """
-    _check_rectangle(fb, rect, pixel_bytes)
-    _write_rectangle(fb, rect, pixel_bytes)
-    return fb
-
-
 def apply_update(fb: Framebuffer, update: FramebufferUpdate) -> Framebuffer:
     """Apply one FramebufferUpdate message and bump the generation.
 
-    All rectangles are validated up front so a malformed message leaves
+    All rectangles are validated up front, against the framebuffer's
+    bounds and their payload's length, so a malformed message leaves
     both the pixels and the generation untouched.
     """
+    bpp = fb.format.bytes_per_pixel
     for rect, payload in update.rectangles:
-        _check_rectangle(fb, rect, payload)
+        if rect.x < 0 or rect.y < 0 or rect.x + rect.width > fb.width or rect.y + rect.height > fb.height:
+            raise UpdateRejectedError(
+                f"rectangle ({rect.x},{rect.y},{rect.width},{rect.height}) "
+                f"exceeds {fb.width}x{fb.height} bounds"
+            )
+        expected = rect.width * rect.height * bpp
+        if len(payload) != expected:
+            raise UpdateRejectedError(f"payload is {len(payload)} bytes, expected {expected}")
+    pixels = fb.as_array()
     for rect, payload in update.rectangles:
-        _write_rectangle(fb, rect, payload)
+        source = np.frombuffer(payload, dtype=np.uint8).reshape(rect.height, rect.width, bpp)
+        pixels[rect.y : rect.y + rect.height, rect.x : rect.x + rect.width] = source
     fb.generation += 1
     return fb
 
@@ -279,14 +261,16 @@ class GrayCells:
     """Box-filtered grayscale of one framebuffer region, kept current
     from the rows that change.
 
-    :meth:`observe` returns exactly ``downsample(crop(to_grayscale(fb),
-    *region), out_width, out_height)``. Each call compares every word of
-    the region with its copy from the call before, so any writer of
+    :meth:`observe` returns exactly what :func:`downsample` gives to
+    ``out_width`` x ``out_height`` for the region of ``to_grayscale(fb)``.
+    Each call compares every byte of the region with its copy from the
+    call before, a lane of up to 8 bytes at a time, so any writer of
     ``fb.pixels`` is seen, not only :func:`apply_update`. Only the rows
-    from the first to the last changed one are converted to luma, into a
-    kept gray image, and only the cell rows they fall in are summed
-    again, as products with two 0/1 summing matrices of ``out_height x
-    height`` and ``width x out_width`` floats.
+    from the first to the last changed one are converted to luma and
+    summed over each cell's columns, a product with a ``width x
+    out_width`` 0/1 summing matrix; those row sums are kept, and only the
+    cell rows the changed rows fall in are summed again from them, a
+    product with an ``out_height x height`` one.
 
     Exactness of the float arithmetic:
 
@@ -298,15 +282,17 @@ class GrayCells:
       a correctly rounded float32 quotient below 256 is off by at most
       256 * 2^-24 < 1/1000. Its floor is therefore exact. Other formats
       use the integer :func:`_luma`.
+    - Row sums: a row's luma over a cell's columns sums integers of at
+      most 255, and every partial sum is an integer at most 255 * 65535
+      (a row of the wire's U16 width), below 2^24, exact in float32.
     - Cell means: a cell of ``count`` pixels sums integers of at most 255,
       and every partial sum is an integer below 255 * 2^24 (screens are
       capped at 2^24 pixels), exact in float64. ``(sum + count / 2) /
       count`` is either an integer or at least 1/(2 count) from one, and
       its correctly rounded quotient is off by at most 256 * 2^-53,
       which is less than 1/(2 count) for every count below 2^44. Its
-      floor is therefore the half-up mean.
-    - Both floors are taken by the cast to uint8, which truncates, the
-      same as a floor for these non-negative values.
+      floor, taken by the cast to uint8, which truncates these
+      non-negative values, is therefore the half-up mean.
     """
 
     def __init__(self, fb: Framebuffer, out_width: int, out_height: int, region=None):
@@ -317,9 +303,15 @@ class GrayCells:
         self._fb = fb
         self._y, self._columns = y, slice(x, x + width)
         window = np.s_[y : y + height, x : x + width]
-        self._live = fb.as_words()[window]
+        # the region's rows as lanes of the widest unsigned type that
+        # divides a row's bytes, compared for change lane by lane
+        bpp = fb.format.bytes_per_pixel
+        row_bytes = width * bpp
+        lane = next(size for size in (8, 4, 2, 1) if row_bytes % size == 0)
+        rows = fb.as_array().reshape(fb.height, fb.width * bpp)
+        self._live = rows[y : y + height, x * bpp : x * bpp + row_bytes].view(f"u{lane}")
         self._words = self._live.copy()
-        self._changed = np.empty((height, width), dtype=bool)
+        self._changed = np.empty(self._live.shape, dtype=bool)
         layout = _byte_channel_layout(fb.format)
         self._pixels = None
         if layout is not None:
@@ -330,10 +322,10 @@ class GrayCells:
         row_cell = np.repeat(np.arange(out_height), np.diff(row_edges))
         col_cell = np.repeat(np.arange(out_width), np.diff(col_edges))
         self._row_sum = (row_cell == np.arange(out_height)[:, None]).astype(np.float64)
-        self._col_sum = (col_cell[:, None] == np.arange(out_width)).astype(np.float64)
+        self._col_sum = (col_cell[:, None] == np.arange(out_width)).astype(np.float32)
         self._row_cell, self._row_edges = row_cell.tolist(), row_edges.tolist()
         self._half_counts, self._counts = counts / 2, counts.astype(np.float64)
-        self._gray = np.empty((height, width), dtype=np.uint8)
+        self._row_sums = np.empty((height, out_width), dtype=np.float64)  # each row's luma by cell column
         self._cells = np.empty((out_height, out_width), dtype=np.uint8)
         self._refresh(0, height)
 
@@ -349,32 +341,22 @@ class GrayCells:
         return GrayFrame(out_width, out_height, self._cells.copy())
 
     def _refresh(self, top: int, bottom: int) -> None:
-        """Convert region rows ``[top, bottom)`` to luma and average the
-        cell rows they fall in again."""
+        """Convert region rows ``[top, bottom)`` to luma, sum them over
+        each cell's columns and average the cell rows they fall in again."""
         if self._pixels is None:
-            self._gray[top:bottom] = _luma(self._fb, np.s_[self._y + top : self._y + bottom, self._columns])
+            luma = _luma(self._fb, np.s_[self._y + top : self._y + bottom, self._columns])
         else:
             luma = self._pixels[top:bottom] @ self._luma_weights
             luma += 500
             luma /= 1000
-            self._gray[top:bottom] = luma
+            np.floor(luma, out=luma)
+        self._row_sums[top:bottom] = luma @ self._col_sum
         first, end = self._row_cell[top], self._row_cell[bottom - 1] + 1
         lo, hi = self._row_edges[first], self._row_edges[end]
-        sums = self._row_sum[first:end, lo:hi] @ self._gray[lo:hi] @ self._col_sum
+        sums = self._row_sum[first:end, lo:hi] @ self._row_sums[lo:hi]
         sums += self._half_counts[first:end]
         sums /= self._counts[first:end]
         self._cells[first:end] = sums
-
-
-def crop(frame: GrayFrame, x: int, y: int, width: int, height: int) -> GrayFrame:
-    """Copy out a rectangular region of a gray frame."""
-    if width < 1 or height < 1:
-        raise ValueError("crop dimensions must be positive")
-    if x < 0 or y < 0 or x + width > frame.width or y + height > frame.height:
-        raise ValueError(
-            f"crop ({x},{y},{width},{height}) exceeds {frame.width}x{frame.height}"
-        )
-    return GrayFrame(width, height, frame.values[y : y + height, x : x + width].copy())
 
 
 def write_pgm(frame: GrayFrame, path) -> None:

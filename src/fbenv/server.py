@@ -61,6 +61,7 @@ that sends nothing is kept.
 
 from __future__ import annotations
 
+import math
 import select
 import socket
 import struct
@@ -489,26 +490,31 @@ class _ServerEnd:
         self._server = server
         self._buffer = bytearray()
 
-    def serve(self, written: int) -> None:
-        """Answer the ``written`` bytes the client has just sent.
+    def serve(self, written: int) -> float:
+        """Answer the ``written`` bytes the client has just sent, and return
+        how many bytes of replies the client has to read: all of them are
+        sent before this returns, or inf once conn is shut down, so the
+        client reads on to the end of the stream.
 
         A ``recv`` finds them at once on loopback; if they are still in
         flight it waits for them, for up to STALL_TIMEOUT. Replies go out
         without blocking: one the kernel will not take in full means the
         client stopped reading, and drops it, like any other error here.
         """
+        sent = 0
         with self.guard:
             if self.conn is None:
-                return
+                return math.inf
             try:
                 while written > 0:
                     chunk = self._receive()
                     if not chunk:  # stop() shut conn down
-                        return
+                        return math.inf
                     written -= len(chunk)
                     for reply in self._server._replies(self._buffer, chunk):
                         if self.conn.send(reply, socket.MSG_DONTWAIT) < len(reply):
                             raise BlockingIOError("the client stopped reading")
+                        sent += len(reply)
             except (OSError, FbenvError, ValueError) as exc:  # drop this client
                 self._server._count_drop(exc)
                 try:
@@ -516,6 +522,8 @@ class _ServerEnd:
                 except OSError:
                     pass
                 self.conn = None  # what the client sent after the fault is not served
+                return math.inf
+        return sent
 
     def _receive(self) -> bytes:
         """One chunk of what the client wrote; b"" once it has closed."""

@@ -18,9 +18,13 @@ import struct
 import subprocess
 import sys
 import threading
+from collections import defaultdict
 from pathlib import Path
 
-from fbenv.wire import RGBX32, PixelFormat
+import numpy as np
+
+from fbenv.framebuffer import Framebuffer, GrayFrame, apply_update
+from fbenv.wire import RGBX32, FramebufferUpdate, PixelFormat, Rectangle
 
 # -- pixel formats the tests negotiate ---------------------------------------
 
@@ -106,6 +110,44 @@ def oracle_ball_columns(position: float) -> range:
     """Lit ball columns for a position, from the documented geometry."""
     center = int((position + 1.0) / 2.0 * 151 + 0.5)
     return range(max(0, center - 4), min(160, center + 4))
+
+
+# -- shorthands over the package's public calls -------------------------------
+
+
+def apply_rectangle(fb: Framebuffer, rect: Rectangle, pixel_bytes: bytes) -> Framebuffer:
+    """Overwrite one rectangle through ``apply_update`` (which also bumps
+    the generation); a rejected one leaves the pixels untouched."""
+    return apply_update(fb, FramebufferUpdate(((rect, pixel_bytes),)))
+
+
+def crop(frame: GrayFrame, x: int, y: int, width: int, height: int) -> GrayFrame:
+    """Copy out a rectangular region of a gray frame."""
+    if width < 1 or height < 1:
+        raise ValueError("crop dimensions must be positive")
+    if x < 0 or y < 0 or x + width > frame.width or y + height > frame.height:
+        raise ValueError(f"crop ({x},{y},{width},{height}) exceeds {frame.width}x{frame.height}")
+    return GrayFrame(width, height, frame.values[y : y + height, x : x + width].copy())
+
+
+def values_for(q, key: int) -> np.ndarray:
+    """A Q-table's vector for a state, as a new array; zeros when unseen."""
+    return np.array(q.row(key)) if key in q.keys() else np.zeros(q.n_actions)
+
+
+def greedy_policy(q) -> defaultdict:
+    """Argmax action of every state a Q-table holds; unseen keys read as
+    action 0."""
+    policy = defaultdict(int)
+    for key in q.keys():
+        policy[key] = q.best_action(key)
+    return policy
+
+
+def press_key(session, keysym: int) -> None:
+    """Key tap: down then up, in one write."""
+    session.queue_key(keysym, True)
+    session.send_key(keysym, False)
 
 
 # -- reference wire parsing --------------------------------------------------
@@ -351,6 +393,49 @@ def server_process(*args: str):
         match = re.search(r":(\d+) \(.*\), hash channel on (\d+)$", banner.strip())
         assert match, f"no banner from fbenv serve within 10 s: {banner!r}"
         yield process, int(match[1]), int(match[2])
+    finally:
+        process.kill()
+        process.wait(timeout=5.0)
+        process.stdout.close()
+
+
+# -- a flooding server in its own process ------------------------------------
+
+_FLOOD_SCRIPT = """
+import socket, sys, time
+script, seconds = bytes.fromhex(sys.argv[1]), float(sys.argv[2])
+with socket.create_server(("127.0.0.1", 0)) as listener:
+    print(listener.getsockname()[1], flush=True)
+    conn, _ = listener.accept()
+    with conn:
+        try:
+            conn.sendall(script)
+            flood = bytes(4) * 16384  # empty FramebufferUpdates
+            end = time.monotonic() + seconds
+            while time.monotonic() < end:
+                conn.sendall(flood)
+        except OSError:
+            pass  # the client hung up
+"""
+
+
+@contextlib.contextmanager
+def flooding_server(seconds: float):
+    """Run a child process that accepts one client, sends it a whole
+    handshake (a 160x160 screen) and then empty FramebufferUpdates
+    without pause for ``seconds``, never reading; yield its port. A
+    thread would share the GIL with the client and throttle the flood.
+    The child is killed on exit."""
+    process = subprocess.Popen(
+        [sys.executable, "-c", _FLOOD_SCRIPT, handshake_script().hex(), str(seconds)],
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        ready, _, _ = select.select([process.stdout], [], [], 10.0)
+        line = process.stdout.readline().strip() if ready else ""
+        assert line.isdigit(), f"no port from the flooding server within 10 s: {line!r}"
+        yield int(line)
     finally:
         process.kill()
         process.wait(timeout=5.0)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from fbenv.agent import AgentConfig, QTable, greedy_policy, epsilon, train, update_q
+from fbenv.agent import AgentConfig, QTable, epsilon, train, update_q
 from fbenv.agent import EpsilonSchedule
 from fbenv.bench import MODE_FIXED, MODE_UNRESTRICTED, bench
 from fbenv.client import connect
@@ -40,9 +40,11 @@ from fbenv.wire import (
 
 from helpers import (
     ScriptedSocket,
+    greedy_policy,
     handshake_script,
     oracle_start_position,
     oracle_survival_ticks,
+    values_for,
 )
 
 
@@ -209,7 +211,7 @@ def test_criterion_5_update_rule_matches_value_iteration():
             for action in range(2):
                 next_state, reward, terminal = chain(state, action)
                 update_q(q, state, action, reward, next_state, terminal, 1.0, gamma)
-        learned = np.array([q.values_for(s) for s in range(3)])
+        learned = np.array([values_for(q, s) for s in range(3)])
         if np.max(np.abs(learned[:2] - oracle[:2])) <= 1e-9:
             sweeps_used = sweep
             break

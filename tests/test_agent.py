@@ -18,7 +18,6 @@ from fbenv.agent import (
     config_hash,
     discretize,
     epsilon,
-    greedy_policy,
     select_action,
     train,
     update_q,
@@ -27,6 +26,7 @@ from fbenv.env import EnvConfig, Observation, make_env
 from fbenv.framebuffer import GrayFrame, downsample, to_grayscale
 from fbenv.game import GameState, render
 
+from helpers import greedy_policy, values_for
 
 def observation(state: GameState, step_index: int = 0) -> Observation:
     frame = downsample(to_grayscale(render(state)), 16, 16)
@@ -132,7 +132,7 @@ def test_seeded_selection_is_reproducible():
 def test_zero_everything_is_a_fixed_point():
     q = QTable(2)
     update_q(q, 0, 0, 0.0, 1, False, 0.5, 0.9)
-    assert q.values_for(0).tolist() == [0.0, 0.0]
+    assert values_for(q, 0).tolist() == [0.0, 0.0]
 
 
 def test_update_worked_example():
@@ -154,7 +154,7 @@ def test_terminal_update_with_full_rate_sets_reward():
 def test_alpha_zero_freezes_the_table():
     q = QTable(2)
     update_q(q, 0, 0, 5.0, 1, False, 0.0, 0.9)
-    assert q.values_for(0).tolist() == [0.0, 0.0]
+    assert values_for(q, 0).tolist() == [0.0, 0.0]
 
 
 def test_update_rejects_non_finite_reward():
@@ -180,10 +180,10 @@ def test_update_touches_exactly_one_cell(s, a, r, s2, terminal, alpha, gamma):
     rng = np.random.default_rng(0)
     for key in range(6):
         q.row(key)[:] = rng.normal(size=3)
-    before = {key: q.values_for(key) for key in range(6)}
+    before = {key: values_for(q, key) for key in range(6)}
     update_q(q, s, a, r, s2, terminal, alpha, gamma)
     for key in range(6):
-        after = q.values_for(key)
+        after = values_for(q, key)
         for action in range(3):
             if key == s and action == a:
                 continue
@@ -230,11 +230,11 @@ def test_chain_mdp_converges_to_value_iteration():
             for action in range(N_ACTIONS):
                 next_state, reward, terminal = chain_step(state, action)
                 update_q(q, state, action, reward, next_state, terminal, 1.0, gamma)
-        learned = np.array([q.values_for(s) for s in range(N_STATES)])
+        learned = np.array([values_for(q, s) for s in range(N_STATES)])
         if np.max(np.abs(learned[: N_STATES - 1] - oracle[: N_STATES - 1])) <= 1e-9:
             break
     assert sweeps <= 50
-    learned = np.array([q.values_for(s) for s in range(N_STATES)])
+    learned = np.array([values_for(q, s) for s in range(N_STATES)])
     assert np.max(np.abs(learned[: N_STATES - 1] - oracle[: N_STATES - 1])) <= 1e-9
     # and the greedy policy matches the oracle's
     policy = greedy_policy(q)
@@ -256,7 +256,7 @@ def test_greedy_policy_scale_invariance():
     base = dict(greedy_policy(q))
     scaled = QTable(3)
     for key in range(10):
-        scaled.row(key)[:] = 7.5 * q.values_for(key)
+        scaled.row(key)[:] = 7.5 * values_for(q, key)
     assert dict(greedy_policy(scaled)) == base
 
 
@@ -350,7 +350,7 @@ def test_qtable_save_load_round_trip(tmp_path):
     assert loaded.n_actions == 3
     assert sorted(loaded.keys()) == sorted(q.keys())
     for key in q.keys():
-        assert loaded.values_for(key).tolist() == q.values_for(key).tolist()
+        assert values_for(loaded, key).tolist() == values_for(q, key).tolist()
     header = path.read_text().splitlines()[0]
     assert header.startswith("# n_actions=3 config_hash=")
     assert f"{config_hash(config):016x}" in header
@@ -380,7 +380,7 @@ def test_training_is_deterministic(server_factory):
         server = server_factory(lockstep=True, seed=3)
         with make_env(EnvConfig(port=server.port, lockstep=True)) as env:
             q, report = train(env, AgentConfig(seed=9), episodes=8)
-        return report.episode_scores, {k: q.values_for(k).tolist() for k in q.keys()}
+        return report.episode_scores, {k: values_for(q, k).tolist() for k in q.keys()}
 
     scores_a, table_a = run()
     scores_b, table_b = run()
@@ -399,7 +399,7 @@ def test_training_learns_at_least_within_bounds(server_factory):
     )
     bound = (1.0 / 30.0) / (1.0 - 0.99) + 1e-9
     for key in q.keys():
-        assert np.all(np.abs(q.values_for(key)) <= bound)
+        assert np.all(np.abs(values_for(q, key)) <= bound)
 
 
 def test_training_surfaces_env_errors(server_factory):

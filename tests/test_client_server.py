@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import math
 import socket
 import struct
 import sys
@@ -44,7 +45,9 @@ from helpers import (
     TEST_FORMATS,
     RecordingServer,
     encode_client_cut_text,
+    flooding_server,
     handshake_script,
+    press_key,
     reference_parse_client_message,
     server_process,
     side_channel_hash,
@@ -241,7 +244,7 @@ def test_press_key_writes_down_then_up_on_the_wire():
     recorder = RecordingServer().start()
     try:
         session = connect("127.0.0.1", recorder.port)
-        session.press_key(KEY_LEFT)
+        press_key(session, KEY_LEFT)
         session.poll()
         time.sleep(0.3)
         session.close()
@@ -621,12 +624,20 @@ def test_fixed_rate_short_run_hits_target_band(session_factory):
     assert stats.latency_p50_ms <= stats.latency_p99_ms
 
 
-def test_fixed_rate_callbacks_never_bunch(session_factory):
+def test_fixed_rate_callbacks_never_bunch(session_factory, monkeypatch):
     session, _ = session_factory(tick_rate=30.0, seed=11)
-    fired = []
+    fired = []  # when each tick fired, before its poll: a delayed poll moves no tick
+
+    class RecordingPacer(Pacer):
+        def wait(self, end=math.inf):
+            if not super().wait(end):
+                return False
+            fired.append(self._fired_at)
+            return True
+
+    monkeypatch.setattr(fbenv.client, "Pacer", RecordingPacer)
 
     def slow_every_third(frame, index):
-        fired.append(time.monotonic())
         if index % 3 == 2:
             time.sleep(0.06)  # overrun past the next deadline
 
@@ -714,6 +725,25 @@ def test_poll_applies_every_update_that_has_arrived():
     assert (words[130:, :] == 0).all() and (words[:, 126:] == 0).all()
 
 
+#: How far past its timeout a call may run against a flooding server: the
+#: decoding of one 64 KiB receive of empty updates (16 ms measured) and a
+#: busy host's scheduling
+FLOOD_MARGIN = 0.5
+
+
+def test_a_flooding_server_holds_connect_and_poll_only_until_their_timeouts():
+    with flooding_server(10.0) as port:
+        started = time.monotonic()
+        session = connect("127.0.0.1", port, timeout=1.0)
+        connected = time.monotonic()
+        with session:
+            assert session.poll(0.1)
+            polled = time.monotonic()
+    assert connected - started < 1.0 + FLOOD_MARGIN
+    assert polled - connected < 0.1 + FLOOD_MARGIN
+    assert session.frame_counter > 1
+
+
 def test_oversized_cut_text_header_raises_without_waiting():
     server_end, client_end = socket.socketpair()
     with server_end, client_end:
@@ -761,7 +791,7 @@ def steer_randomly(session, rng) -> None:
     session.send_key(KEY_LEFT, action == 1)
     session.send_key(KEY_RIGHT, action == 2)
     if rng.random() < 0.02:
-        session.press_key(KEY_SPACE)
+        press_key(session, KEY_SPACE)
 
 
 def bounding_box(changed: np.ndarray) -> tuple[int, int, int, int] | None:
@@ -826,7 +856,7 @@ def test_incremental_rectangles_are_the_byte_diff_bounding_box(server_factory, m
             for _ in range(5):
                 poll(session)
             episode = server.episode
-            session.press_key(KEY_SPACE)
+            press_key(session, KEY_SPACE)
             poll(session)
             assert server.episode == episode + 1
             polls = len(updates)

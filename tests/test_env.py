@@ -4,19 +4,29 @@ import itertools
 import os
 import signal
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fbenv.env
-from fbenv.env import EnvConfig, load_env_config, make_env, save_env_config
+from fbenv.env import Env, EnvConfig, load_env_config, make_env, save_env_config
 from fbenv.errors import ConnectionLostError, InvalidStateError
-from fbenv.framebuffer import crop, downsample, to_grayscale
+from fbenv.framebuffer import Framebuffer, downsample, pixel_rgb, to_grayscale
 from fbenv.keys import KEY_LEFT, KEY_RIGHT, KEY_SPACE
 from fbenv.server import MockServer
 from fbenv.wire import FramebufferUpdateRequest
 
-from helpers import oracle_start_position, oracle_survival_ticks, reference_parse_client_message, server_process
+from helpers import (
+    TEST_FORMATS,
+    crop,
+    oracle_start_position,
+    oracle_survival_ticks,
+    reference_parse_client_message,
+    server_process,
+)
 
 LEFT_ACTION = 1
 RIGHT_ACTION = 2
@@ -131,6 +141,29 @@ def test_probe_agrees_with_server_terminal_flag(env_factory):
         assert result.terminal == server.game_state().terminal or result.truncated
         if result.terminal:
             break
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fmt=st.sampled_from(TEST_FORMATS),
+    word=st.integers(0, 2**32 - 1),
+    offsets=st.tuples(*[st.integers(-30, 30)] * 3),
+    tolerance=st.integers(0, 30),
+)
+def test_probe_is_the_rescaled_channel_rule_in_every_format(fmt, word, offsets, tolerance):
+    """The probe resolved at creation decides as the per-step rule did:
+    every channel of the pixel, rescaled to 0..255, within the tolerance
+    of the probe colour."""
+    x, y, bpp = 5, 7, fmt.bytes_per_pixel
+    fb = Framebuffer.blank(16, 16, fmt)
+    offset = (y * 16 + x) * bpp
+    fb.pixels[offset : offset + bpp] = (word >> (32 - 8 * bpp)).to_bytes(bpp, "big")
+    rgb = pixel_rgb(fb, x, y)
+    probe_rgb = tuple(min(255, max(0, channel + delta)) for channel, delta in zip(rgb, offsets))
+    config = EnvConfig(probe_xy=(x, y), probe_rgb=probe_rgb, probe_tolerance=tolerance)
+    env = Env(config, SimpleNamespace(width=16, height=16, framebuffer=fb))
+    deviation = max(abs(channel - expected) for channel, expected in zip(rgb, probe_rgb))
+    assert env._probe_terminal() == (deviation <= tolerance)
 
 
 def test_noop_episode_score_matches_dynamics_oracle(env_factory):

@@ -10,9 +10,7 @@ from fbenv.framebuffer import (
     Framebuffer,
     GrayCells,
     GrayFrame,
-    apply_rectangle,
     apply_update,
-    crop,
     downsample,
     pack_rgb,
     pixel_rgb,
@@ -22,7 +20,16 @@ from fbenv.framebuffer import (
 from fbenv.game import episode_seed, new_game, render, step_game
 from fbenv.wire import RGBX32, FramebufferUpdate, PixelFormat, Rectangle
 
-from helpers import BGRX32_BE, RGB332, RGB565, TEST_FORMATS, oracle_downsample, oracle_gray
+from helpers import (
+    BGRX32_BE,
+    RGB332,
+    RGB565,
+    TEST_FORMATS,
+    apply_rectangle,
+    crop,
+    oracle_downsample,
+    oracle_gray,
+)
 
 
 def gray(values) -> GrayFrame:

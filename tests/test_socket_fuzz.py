@@ -6,6 +6,7 @@ bound while it handles them."""
 import socket
 import struct
 import threading
+import time
 import tracemalloc
 
 import pytest
@@ -66,8 +67,18 @@ def raw_updates(draw):
     return header + bytes([draw(st.integers(0, 255))]) * (w * h * 4)
 
 
+#: The timeout of each client call against the fuzzed server, and how far
+#: past it the call may run: a flood of empty updates that keeps arriving
+#: is cut off at the deadline, after at most one 64 KiB receive is
+#: decoded (about 0.14 s with tracemalloc on)
+CALL_TIMEOUT = 0.1
+CALL_MARGIN = 0.5
+
 server_bytes = chunks(
     raw_updates(),
+    # a flood of 64 KiB receives of empty updates: the first answers the
+    # request, the rest are unrequested
+    st.integers(1, 6).map(lambda receives: struct.pack(">BxH", 0, 0) * (16384 * receives)),
     st.just(b"\x02"),  # Bell
     st.binary(max_size=64).map(lambda text: struct.pack(">B3xI", 3, len(text)) + text),
     # headers declaring anything: rectangle counts, sizes, encodings, cut-text lengths
@@ -77,6 +88,16 @@ server_bytes = chunks(
     st.integers(0, 0xFFFFFFFF).map(lambda length: struct.pack(">B3xI", 3, length)),
     st.binary(max_size=64),
 )
+
+
+def timed(durations: list, call, *args, **kwargs):
+    """``call(*args, **kwargs)``, appending the seconds it took, even when
+    it raises, to ``durations``."""
+    started = time.monotonic()
+    try:
+        return call(*args, **kwargs)
+    finally:
+        durations.append(time.monotonic() - started)
 
 
 def serve_then_hang_up(listener: socket.socket, script: bytes) -> None:
@@ -101,19 +122,22 @@ def test_client_meets_a_fuzzed_server_with_typed_errors_only(payload):
         server = threading.Thread(target=serve_then_hang_up, args=(listener, script))
         server.start()
         tracemalloc.start()
+        durations = []  # seconds taken by each client call
         try:
-            # the server hangs up after at most six updates, so every
-            # session ends in a typed error within a few polls
+            # the server hangs up after its script, so every session ends in
+            # a typed error within a few polls; each reads at least 64 KiB
             with pytest.raises(FbenvError):
-                with connect("127.0.0.1", listener.getsockname()[1], timeout=2.0) as session:
+                port = listener.getsockname()[1]
+                with timed(durations, connect, "127.0.0.1", port, timeout=CALL_TIMEOUT) as session:
                     for _ in range(20):
-                        session.poll()
+                        timed(durations, session.poll, CALL_TIMEOUT)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
             server.join(timeout=5.0)
     assert not server.is_alive()
     assert peak < CLIENT_PEAK_BOUND
+    assert max(durations) < CALL_TIMEOUT + CALL_MARGIN, durations
 
 
 # -- fuzzed clients against MockServer --------------------------------------
