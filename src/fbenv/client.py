@@ -91,6 +91,8 @@ class CaptureStats:
 
     ``error`` carries the exception that stopped the loop early (callback
     failure or lost connection); None for a clean run.
+    ``frames_stale`` counts the delivered frames whose poll applied no
+    update, so the callback saw the frame before again.
     """
 
     frames_delivered: int
@@ -99,6 +101,7 @@ class CaptureStats:
     latency_p50_ms: float
     latency_p99_ms: float
     error: Exception | None = None
+    frames_stale: int = 0
 
 
 class Pacer:
@@ -346,7 +349,7 @@ class Session:
             raise ValueError("duration must be non-negative")
         start = time.monotonic() if pacer is None else pacer.start
         end = math.inf if duration is None else start + duration
-        frames = 0
+        frames = stale = 0
         latencies: list[float] = []
         error: Exception | None = None
         while not (stop is not None and stop.is_set()):
@@ -357,13 +360,14 @@ class Session:
                 break
             try:
                 poll_started = time.monotonic()
-                self.poll()
+                fresh = self.poll()
                 latencies.append(time.monotonic() - poll_started)
                 callback(self.framebuffer, frames)
             except Exception as exc:  # surfaced in stats, not raised
                 error = exc
                 break
             frames += 1
+            stale += not fresh
         wall = time.monotonic() - start
         latencies.sort()
         return CaptureStats(
@@ -373,6 +377,7 @@ class Session:
             latency_p50_ms=_percentile(latencies, 0.50) * 1000.0,
             latency_p99_ms=_percentile(latencies, 0.99) * 1000.0,
             error=error,
+            frames_stale=stale,
         )
 
     # -- input ----------------------------------------------------------

@@ -3,10 +3,13 @@ pixel probe.
 
 Everything the environment knows arrives through pixels. An observation
 is the (cropped) framebuffer in grayscale, box-filtered to
-``obs_width`` x ``obs_height``; a :class:`fbenv.framebuffer.GrayCells`
-keeps it, redoing per step only the cell rows whose pixels changed (a
-paddle redraw touches two of the default 16). Episode end is detected
-by probing one framebuffer pixel for the server's solid-red
+``obs_width`` x ``obs_height``; the Env's
+:class:`fbenv.framebuffer.GrayCells`, the framebuffer's one observer,
+keeps it: per step it takes the rows the step's updates wrote, which
+:func:`fbenv.framebuffer.apply_update` records as the framebuffer's
+damage, and converts only those and re-averages only the cell rows they
+fall in (a paddle redraw touches two of the default 16). Episode end is
+detected by probing one framebuffer pixel for the server's solid-red
 terminal screen, and reward accrues per surviving step (default 1/30 so
 a second survived is worth one point at the standard tick rate). The
 probe is resolved when the Env is made: the byte offset of its pixel,
@@ -26,8 +29,10 @@ independent of wall-clock speed: a step waits up to
 reuse the cached frame. In timed mode the keys are written before the
 step waits for its tick, so the server's ticker sees them on time, and
 steps are paced to the configured tick rate by
-:class:`fbenv.client.Pacer`, whose grid restarts at each reset. A reset
-writes its key-up, its reset key tap and its refresh request at once.
+:class:`fbenv.client.Pacer`, whose grid restarts at each reset; a timed
+step whose poll applies no update reuses the frame before and is
+counted in :attr:`Env.stale_steps`. A reset writes its key-up, its
+reset key tap and its refresh request at once.
 """
 
 from __future__ import annotations
@@ -154,6 +159,9 @@ class Env:
         self._step_index = 0
         self._episode_over = False
         self._held: int | None = None
+        #: timed-mode steps whose poll applied no update, so their
+        #: observation reused the frame before
+        self.stale_steps = 0
         self._pacer = Pacer(1.0 / config.tick_rate)
         self._cells = GrayCells(session.framebuffer, config.obs_width, config.obs_height, config.crop)
 
@@ -226,7 +234,8 @@ class Env:
         else:
             self.session.flush()
             self._pacer.wait()
-            self.session.poll()
+            if not self.session.poll():
+                self.stale_steps += 1
         terminal = self._probe_terminal()
         self._step_index += 1
         truncated = not terminal and self._step_index >= self.config.max_episode_steps

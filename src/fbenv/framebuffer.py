@@ -1,14 +1,19 @@
 """Client-side framebuffer model and the grayscale observation pipeline.
 
 The framebuffer mirrors the server screen byte-for-byte in the negotiated
-pixel format. Observations are derived from it: true-color pixels are
-reduced to 8-bit luminance and box-filtered down to a small grid.
-:func:`to_grayscale` and :func:`downsample` do this for a whole frame,
-in integer arithmetic; they are also the reference the tests hold
-:class:`GrayCells` to. :class:`GrayCells` gives the same values while
-converting only the rows whose pixels changed since it last looked and
+pixel format. :func:`apply_update` writes each FramebufferUpdate into it
+and records the rows it wrote as the framebuffer's ``damage``.
+Observations are derived from it: true-color pixels are reduced to 8-bit
+luminance and box-filtered down to a small grid. :func:`to_grayscale`
+and :func:`downsample` do this for a whole frame, in integer arithmetic;
+they are also the reference the tests hold :class:`GrayCells` to.
+:class:`GrayCells` gives the same values while converting only the
+damaged rows, which it takes from the framebuffer at each look, and
 re-averaging only the cell rows they fall in, with float arithmetic
-whose every result is exact (the argument is in its docstring).
+whose every result is exact (the argument is in its docstring). A
+framebuffer has one such observer, since taking the damage clears it,
+and a writer that bypasses :func:`apply_update` widens ``damage`` over
+the rows it wrote itself.
 
 Rounding is half-up everywhere (x -> floor(x + 0.5)) so every value here
 can be reproduced exactly by an integer-arithmetic oracle.
@@ -62,6 +67,10 @@ class Framebuffer:
 
     ``generation`` counts applied FramebufferUpdate messages; it is bumped
     once per message by :func:`apply_update`, never by single rectangles.
+    ``damage`` is the span of rows ``(top, bottom)`` written since its
+    observer last took it, or None: :func:`apply_update` widens it over
+    each non-empty rectangle, and any other writer of ``pixels`` must
+    widen it over the rows it wrote.
     """
 
     width: int
@@ -69,6 +78,7 @@ class Framebuffer:
     format: PixelFormat
     pixels: bytearray
     generation: int = 0
+    damage: tuple[int, int] | None = None
 
     def __post_init__(self):
         bpp = self.format.bytes_per_pixel
@@ -103,11 +113,12 @@ def word_dtype(fmt: PixelFormat) -> np.dtype:
 
 
 def apply_update(fb: Framebuffer, update: FramebufferUpdate) -> Framebuffer:
-    """Apply one FramebufferUpdate message and bump the generation.
+    """Apply one FramebufferUpdate message, widen the damage over the
+    rows of each non-empty rectangle and bump the generation.
 
     All rectangles are validated up front, against the framebuffer's
     bounds and their payload's length, so a malformed message leaves
-    both the pixels and the generation untouched.
+    the pixels, the damage and the generation untouched.
     """
     bpp = fb.format.bytes_per_pixel
     for rect, payload in update.rectangles:
@@ -121,21 +132,16 @@ def apply_update(fb: Framebuffer, update: FramebufferUpdate) -> Framebuffer:
             raise UpdateRejectedError(f"payload is {len(payload)} bytes, expected {expected}")
     pixels = fb.as_array()
     for rect, payload in update.rectangles:
+        if not payload:
+            continue  # a zero-size rectangle writes nothing
+        top, bottom = rect.y, rect.y + rect.height
         source = np.frombuffer(payload, dtype=np.uint8).reshape(rect.height, rect.width, bpp)
-        pixels[rect.y : rect.y + rect.height, rect.x : rect.x + rect.width] = source
+        pixels[top:bottom, rect.x : rect.x + rect.width] = source
+        if fb.damage is not None:
+            top, bottom = min(top, fb.damage[0]), max(bottom, fb.damage[1])
+        fb.damage = top, bottom
     fb.generation += 1
     return fb
-
-
-def true_span(mask: np.ndarray) -> tuple[int, int] | None:
-    """Rows ``[first, last + 1)`` of a boolean mask (elements, if 1-D) that
-    hold a True, or None; a byte scan costs a fraction of numpy's reductions."""
-    flags = mask.tobytes()  # one 0 or 1 byte per value, row by row
-    first = flags.find(1)
-    if first < 0:
-        return None
-    row_size = mask.size // len(mask)
-    return first // row_size, flags.rfind(1) // row_size + 1
 
 
 def _byte_channel_layout(fmt: PixelFormat) -> tuple[int, int, int] | None:
@@ -259,18 +265,20 @@ def downsample(frame: GrayFrame, out_width: int, out_height: int) -> GrayFrame:
 
 class GrayCells:
     """Box-filtered grayscale of one framebuffer region, kept current
-    from the rows that change.
+    from the framebuffer's damage.
 
     :meth:`observe` returns exactly what :func:`downsample` gives to
-    ``out_width`` x ``out_height`` for the region of ``to_grayscale(fb)``.
-    Each call compares every byte of the region with its copy from the
-    call before, a lane of up to 8 bytes at a time, so any writer of
-    ``fb.pixels`` is seen, not only :func:`apply_update`. Only the rows
-    from the first to the last changed one are converted to luma and
-    summed over each cell's columns, a product with a ``width x
-    out_width`` 0/1 summing matrix; those row sums are kept, and only the
-    cell rows the changed rows fall in are summed again from them, a
-    product with an ``out_height x height`` one.
+    ``out_width`` x ``out_height`` for the region of ``to_grayscale(fb)``,
+    provided every write to ``fb.pixels`` since the call before widened
+    ``fb.damage`` over its rows, as :func:`apply_update` does. Each call
+    takes the damage, leaving None, so a framebuffer has one observer
+    (an :class:`~fbenv.env.Env` owns its session's). Only the damaged
+    rows within the region are converted to luma and summed over each
+    cell's columns, a product with a ``width x out_width`` 0/1 summing
+    matrix; those row sums are kept, and only the cell rows the damaged
+    rows fall in are summed again from them, a product with an
+    ``out_height x height`` one. Building one takes any pending damage
+    and converts the whole region.
 
     Exactness of the float arithmetic:
 
@@ -301,21 +309,11 @@ class GrayCells:
             raise ValueError(f"region {region} exceeds {fb.width}x{fb.height}")
         row_edges, col_edges, counts = _cell_grid(width, height, out_width, out_height)
         self._fb = fb
-        self._y, self._columns = y, slice(x, x + width)
-        window = np.s_[y : y + height, x : x + width]
-        # the region's rows as lanes of the widest unsigned type that
-        # divides a row's bytes, compared for change lane by lane
-        bpp = fb.format.bytes_per_pixel
-        row_bytes = width * bpp
-        lane = next(size for size in (8, 4, 2, 1) if row_bytes % size == 0)
-        rows = fb.as_array().reshape(fb.height, fb.width * bpp)
-        self._live = rows[y : y + height, x * bpp : x * bpp + row_bytes].view(f"u{lane}")
-        self._words = self._live.copy()
-        self._changed = np.empty(self._live.shape, dtype=bool)
+        self._y, self._height, self._columns = y, height, slice(x, x + width)
         layout = _byte_channel_layout(fb.format)
         self._pixels = None
         if layout is not None:
-            self._pixels = fb.as_array()[window]
+            self._pixels = fb.as_array()[y : y + height, x : x + width]
             self._luma_weights = np.zeros(fb.format.bytes_per_pixel, dtype=np.float32)
             self._luma_weights[list(layout)] = _LUMA_WEIGHTS
         # the cell row of each pixel row, and the cell column of each pixel column
@@ -327,16 +325,16 @@ class GrayCells:
         self._half_counts, self._counts = counts / 2, counts.astype(np.float64)
         self._row_sums = np.empty((height, out_width), dtype=np.float64)  # each row's luma by cell column
         self._cells = np.empty((out_height, out_width), dtype=np.uint8)
+        fb.damage = None
         self._refresh(0, height)
 
     def observe(self) -> GrayFrame:
-        """The region's cell means now, as a new frame."""
-        np.not_equal(self._live, self._words, out=self._changed)
-        rows = true_span(self._changed)
-        if rows is not None:
-            top, bottom = rows
-            self._words[top:bottom] = self._live[top:bottom]
-            self._refresh(top, bottom)
+        """The region's cell means now, as a new frame; takes the damage."""
+        damage, self._fb.damage = self._fb.damage, None
+        if damage is not None:
+            top, bottom = max(damage[0] - self._y, 0), min(damage[1] - self._y, self._height)
+            if top < bottom:
+                self._refresh(top, bottom)
         out_height, out_width = self._cells.shape
         return GrayFrame(out_width, out_height, self._cells.copy())
 

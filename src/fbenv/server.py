@@ -73,7 +73,6 @@ import numpy as np
 from . import game
 from .client import _IN_PROCESS_CLIENTS, Pacer
 from .fnv import fnv1a64
-from .framebuffer import true_span
 from .keys import KEY_LEFT, KEY_RIGHT, KEY_SPACE
 from .wire import (
     ENCODING_RAW,
@@ -110,6 +109,17 @@ class ServerConfig:
     def __post_init__(self):
         if not self.lockstep and not 1.0 <= self.tick_rate <= 10000.0:
             raise ValueError(f"tick rate {self.tick_rate} outside 1..10000")
+
+
+def _true_span(mask: np.ndarray) -> tuple[int, int] | None:
+    """Rows ``[first, last + 1)`` of a boolean mask (elements, if 1-D) that
+    hold a True, or None; a byte scan costs a fraction of numpy's reductions."""
+    flags = mask.tobytes()  # one 0 or 1 byte per value, row by row
+    first = flags.find(1)
+    if first < 0:
+        return None
+    row_size = mask.size // len(mask)
+    return first // row_size, flags.rfind(1) // row_size + 1
 
 
 class MockServer:
@@ -448,11 +458,11 @@ class MockServer:
             top, bottom = min(top, shown_top), max(bottom, shown_bottom)
         self._shown = self._game  # once the box below is copied, mirror == canonical
         changed = self._canonical[top:bottom] != self._mirror[top:bottom]
-        rows = true_span(changed)
+        rows = _true_span(changed)
         if rows is None:
             return []
         y0, y1 = top + rows[0], top + rows[1]
-        x0, x1 = true_span(changed.any(axis=0))
+        x0, x1 = _true_span(changed.any(axis=0))
         region = self._canonical[y0:y1, x0:x1]
         self._mirror[y0:y1, x0:x1] = region
         return [(Rectangle(x0, y0, x1 - x0, y1 - y0), region.tobytes())]

@@ -440,3 +440,59 @@ def flooding_server(seconds: float):
         process.kill()
         process.wait(timeout=5.0)
         process.stdout.close()
+
+
+# -- a client flooding key events, in its own process ------------------------
+
+_KEY_FLOOD_SCRIPT = """
+import socket, sys, time
+port, events, seconds = int(sys.argv[1]), bytes.fromhex(sys.argv[2]), float(sys.argv[3])
+
+def read_exact(sock, count):
+    data = b""
+    while len(data) < count:
+        chunk = sock.recv(count - len(data))
+        if not chunk:
+            raise ConnectionError("server closed the connection")
+        data += chunk
+    return data
+
+with socket.create_connection(("127.0.0.1", port)) as sock:
+    sock.sendall(read_exact(sock, 12))  # echo RFB 003.008
+    read_exact(sock, 2)  # one security type: None
+    sock.sendall(b"\\x01")
+    read_exact(sock, 4)  # SecurityResult OK
+    sock.sendall(b"\\x01")  # ClientInit, shared
+    name_length = int.from_bytes(read_exact(sock, 24)[20:], "big")
+    read_exact(sock, name_length)
+    print("flooding", flush=True)
+    flood = events * (65536 // len(events))
+    end = time.monotonic() + seconds
+    try:
+        while time.monotonic() < end:
+            sock.sendall(flood)
+    except OSError:
+        pass  # the server hung up
+"""
+
+
+@contextlib.contextmanager
+def key_flooding_client(port: int, events: bytes, seconds: float):
+    """Run a child process that connects to an RFB server on ``port``,
+    completes the handshake and then writes ``events`` (encoded client
+    messages) over and over without pause for ``seconds``, never reading;
+    yield the process once it floods. The child is killed on exit."""
+    process = subprocess.Popen(
+        [sys.executable, "-c", _KEY_FLOOD_SCRIPT, str(port), events.hex(), str(seconds)],
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        ready, _, _ = select.select([process.stdout], [], [], 10.0)
+        line = process.stdout.readline().strip() if ready else ""
+        assert line == "flooding", f"the flooding client did not connect within 10 s: {line!r}"
+        yield process
+    finally:
+        process.kill()
+        process.wait(timeout=5.0)
+        process.stdout.close()

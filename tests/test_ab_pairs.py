@@ -1,7 +1,9 @@
 """The summary of tools/ab_pairs.py: quartiles, pair ratios, wins and
-the gain and bound rules, on hand-made pairs."""
+the gain and bound rules, on hand-made pairs; and a comparison that
+outlives one hung run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -67,3 +69,33 @@ def test_worsening_past_the_bound_and_failures_are_reported():
     assert not summary["metrics"]["ops_per_s"]["within_bound"]
     assert summary["metrics"]["cpu_us_per_op"]["change_worse_by"] == pytest.approx(0.4)
     assert not summary["metrics"]["cpu_us_per_op"]["within_bound"]
+
+
+def test_a_run_past_its_timeout_is_recorded_and_the_comparison_goes_on(tmp_path, monkeypatch):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.25}]}'
+    )
+    result_line = '{"correct": true, "attempted": 10, "failed": 0, "metrics": {"ops_per_s": {"value": 100.0}}}'
+    calls = []
+
+    def fake_run(command, cwd, timeout, **kwargs):
+        calls.append(Path(cwd).name)
+        if len(calls) == 2:
+            raise ab_pairs.subprocess.TimeoutExpired(command, timeout)
+        return ab_pairs.subprocess.CompletedProcess(command, 0, stdout=result_line + "\n", stderr="")
+
+    monkeypatch.setattr(ab_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "out.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--workload", "train_lockstep", "--pairs", "3", "--seconds", "1", "--out", str(out)]
+    assert ab_pairs.main(argv) == 1  # not every run was correct
+    assert calls == ["parent", "change", "change", "parent", "parent", "change"]
+    document = json.loads(out.read_text())["sets"]["train_lockstep_seed_1"]
+    timed_out = document["runs"][0]["change"]
+    assert (timed_out["correct"], timed_out["exit_code"], timed_out["error"]) == (False, None, "timed out")
+    assert timed_out["metrics"] == {}
+    assert document["runs"][2]["change"]["exit_code"] == 0
+    assert not document["summary"]["all_correct"]
+    assert document["summary"]["metrics"]["ops_per_s"]["change_wins"] == 0

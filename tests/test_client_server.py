@@ -33,6 +33,7 @@ from fbenv.wire import (
     RGBX32,
     FramebufferUpdate,
     FramebufferUpdateRequest,
+    KeyEvent,
     Rectangle,
     ServerInit,
     SetPixelFormat,
@@ -47,6 +48,7 @@ from helpers import (
     encode_client_cut_text,
     flooding_server,
     handshake_script,
+    key_flooding_client,
     press_key,
     reference_parse_client_message,
     server_process,
@@ -742,6 +744,77 @@ def test_a_flooding_server_holds_connect_and_poll_only_until_their_timeouts():
     assert connected - started < 1.0 + FLOOD_MARGIN
     assert polled - connected < 0.1 + FLOOD_MARGIN
     assert session.frame_counter > 1
+
+
+#: How long game_state(), a HASH query or stop() may take while a client
+#: floods the server: handling one 64 KiB chunk of key events (about 40 ms
+#: measured) and a busy host's scheduling
+SERVER_CALL_BOUND = 0.5
+
+
+def on_key_started(server: MockServer, monkeypatch) -> threading.Event:
+    """An event the server sets once it handles its first key event."""
+    started = threading.Event()
+    on_key = server._on_key
+
+    def recording_on_key(event):
+        started.set()
+        on_key(event)
+
+    monkeypatch.setattr(server, "_on_key", recording_on_key)
+    return started
+
+
+def time_server_calls(server: MockServer, during) -> None:
+    """Call game_state(), ask HASH and stop the server, each within
+    SERVER_CALL_BOUND, while ``during()`` holds before the stop."""
+    for call in (server.game_state, lambda: side_channel_hash(server.side_channel_port)):
+        started = time.monotonic()
+        call()
+        assert time.monotonic() - started < SERVER_CALL_BOUND
+    assert during()
+    started = time.monotonic()
+    server.stop()
+    assert time.monotonic() - started < SERVER_CALL_BOUND
+
+
+def test_a_client_flooding_key_events_holds_no_call_of_a_timed_server(server_factory, monkeypatch):
+    """The connection thread's recv loop handles one chunk at a time, so a
+    flood costs the server time but holds up none of its calls."""
+    server = server_factory(seed=3)
+    serving = on_key_started(server, monkeypatch)
+    events = b"".join(encode_client_message(KeyEvent(down, KEY_LEFT)) for down in (True, False))
+    with key_flooding_client(server.port, events, 10.0) as process:
+        assert serving.wait(5.0)
+        time_server_calls(server, lambda: process.poll() is None)
+
+
+def test_a_burst_of_queued_keys_holds_no_call_of_an_in_process_server(server_factory, monkeypatch):
+    """An in-process session's server end reads only what its client just
+    wrote; a burst of 200000 key events (1.6 MB, over 1 s to handle)
+    queued before one poll costs the server time but holds up none of its
+    calls, and the poll ends with a typed error once the server stops."""
+    server = server_factory(lockstep=True, seed=3)
+    with connect("127.0.0.1", server.port) as session:
+        for _ in range(100000):
+            session.queue_key(KEY_SPACE, True)
+            session.queue_key(KEY_SPACE, False)
+        serving = on_key_started(server, monkeypatch)
+        outcome = []
+
+        def poll():
+            try:
+                outcome.append(session.poll(DEFAULT_CONNECT_TIMEOUT))
+            except ConnectionLostError as exc:
+                outcome.append(exc)
+
+        polling = threading.Thread(target=poll)
+        polling.start()
+        assert serving.wait(5.0)
+        time_server_calls(server, polling.is_alive)
+        polling.join(SERVER_CALL_BOUND)
+        assert not polling.is_alive()
+    assert isinstance(outcome[0], ConnectionLostError)
 
 
 def test_oversized_cut_text_header_raises_without_waiting():

@@ -119,6 +119,84 @@ def test_apply_update_is_atomic():
         assert fb.generation == 0
 
 
+# -- damage ------------------------------------------------------------------
+
+
+def fill(rect: Rectangle, value: int) -> tuple[Rectangle, bytes]:
+    return rect, bytes([value]) * (rect.width * rect.height * 4)
+
+
+def test_a_rejected_update_leaves_the_damage_unchanged():
+    fb = Framebuffer.blank(8, 8, RGBX32)
+    bad = FramebufferUpdate((fill(Rectangle(0, 0, 8, 1), 1), fill(Rectangle(6, 6, 3, 1), 2)))
+    with pytest.raises(UpdateRejectedError):
+        apply_update(fb, bad)
+    assert fb.damage is None
+    apply_update(fb, FramebufferUpdate((fill(Rectangle(1, 2, 3, 2), 3),)))
+    assert fb.damage == (2, 4)
+    with pytest.raises(UpdateRejectedError):
+        apply_update(fb, bad)
+    with pytest.raises(UpdateRejectedError):  # a payload one byte short
+        apply_update(fb, FramebufferUpdate(((Rectangle(0, 7, 1, 1), b"\x04" * 3),)))
+    assert fb.damage == (2, 4)
+    assert fb.generation == 1
+
+
+def test_a_zero_size_rectangle_adds_no_damage():
+    fb = Framebuffer.blank(8, 8, RGBX32)
+    apply_update(fb, FramebufferUpdate(((Rectangle(3, 1, 0, 5), b""), (Rectangle(2, 6, 4, 0), b""))))
+    assert fb.damage is None
+    assert fb.generation == 1
+    apply_update(fb, FramebufferUpdate((fill(Rectangle(0, 4, 8, 1), 1), (Rectangle(0, 0, 0, 8), b""))))
+    assert fb.damage == (4, 5)
+
+
+def test_damage_is_the_union_of_the_rows_written_between_observes():
+    fb = solid(12, 24, (40, 90, 200))
+    cells = GrayCells(fb, 3, 4)
+    apply_update(fb, FramebufferUpdate((fill(Rectangle(0, 9, 2, 3), 255), fill(Rectangle(5, 3, 4, 1), 80))))
+    assert fb.damage == (3, 12)
+    apply_update(fb, FramebufferUpdate((fill(Rectangle(10, 20, 2, 2), 0),)))
+    assert fb.damage == (3, 22)
+    assert cells.observe() == downsample(to_grayscale(fb), 3, 4)
+    assert fb.damage is None
+
+
+def test_damage_outside_a_cropped_region_refreshes_nothing(monkeypatch):
+    fb = solid(16, 16, (10, 200, 30))
+    x, y, w, h = 2, 6, 12, 5
+    cells = GrayCells(fb, 4, 2, (x, y, w, h))
+    refreshed = []
+    refresh = cells._refresh
+
+    def recording_refresh(top, bottom):
+        refreshed.append((top, bottom))
+        refresh(top, bottom)
+
+    monkeypatch.setattr(cells, "_refresh", recording_refresh)
+
+    def expected():
+        return downsample(crop(to_grayscale(fb), x, y, w, h), 4, 2)
+
+    for rect in (Rectangle(0, 0, 16, 6), Rectangle(3, 11, 9, 5)):  # just above and just below
+        apply_update(fb, FramebufferUpdate((fill(rect, 255),)))
+        assert cells.observe() == expected()
+    assert refreshed == []
+    apply_update(fb, FramebufferUpdate((fill(Rectangle(0, 4, 1, 4), 0), fill(Rectangle(15, 10, 1, 3), 0))))
+    assert cells.observe() == expected()
+    assert refreshed == [(0, 5)]  # rows 4..13 clipped to the region's 6..11
+
+
+def test_gray_cells_built_over_pending_damage_start_clean(monkeypatch):
+    fb = solid(8, 8, (0, 0, 255))
+    apply_update(fb, FramebufferUpdate((fill(Rectangle(0, 2, 8, 3), 200),)))
+    assert fb.damage == (2, 5)
+    cells = GrayCells(fb, 4, 4)
+    assert fb.damage is None
+    monkeypatch.setattr(cells, "_refresh", lambda top, bottom: pytest.fail("refreshed with no damage"))
+    assert cells.observe() == downsample(to_grayscale(fb), 4, 4)
+
+
 # -- grayscale ---------------------------------------------------------------
 
 
@@ -339,8 +417,12 @@ def test_gray_cells_track_the_full_frame_oracle(fmt, data):
         rw, rh = data.draw(st.integers(1, width - rx)), data.draw(st.integers(1, height - ry))
         payload = random_pixels(rw * rh).tobytes()
         apply_rectangle(fb, Rectangle(rx, ry, rw, rh), payload)
-        if data.draw(st.booleans()):  # a write that bypasses apply_rectangle
-            fb.pixels[int(rng.integers(len(fb.pixels)))] ^= 0xFF
+        if data.draw(st.booleans()):  # a write that bypasses apply_update marks its row
+            offset = int(rng.integers(len(fb.pixels)))
+            fb.pixels[offset] ^= 0xFF
+            row = offset // (width * bpp)
+            top, bottom = fb.damage or (row, row + 1)
+            fb.damage = min(top, row), max(bottom, row + 1)
         expected = downsample(crop(to_grayscale(fb), x, y, w, h), out_w, out_h)
         observed = cells.observe()
         assert observed == expected

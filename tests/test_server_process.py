@@ -1,16 +1,19 @@
 """Lockstep training against ``fbenv serve`` in a process of its own: the
 deployment the paper describes, where the server's connection thread
-serves the client with its ``recv`` loop."""
+serves the client with its ``recv`` loop; and the count of timed steps
+and capture frames that reuse the cached frame while that process is
+held."""
 
 import itertools
 import os
+import select
 import signal
 import struct
 import threading
 import time
 
 from fbenv.agent import AgentConfig, train
-from fbenv.client import SessionState
+from fbenv.client import SessionState, connect
 from fbenv.env import EnvConfig, make_env
 from fbenv.errors import ConnectionLostError
 from fbenv.fnv import fnv1a64
@@ -102,3 +105,56 @@ def test_killing_the_server_process_ends_training_at_once():
             assert env.session._sock.fileno() == -1
     assert elapsed < 2.0  # the loss is seen at once, not after a step's timeout
     assert threading.active_count() == threads
+
+
+#: steps or frames taken while the server process is held
+HELD = 3
+
+
+def hold(process) -> None:
+    process.send_signal(signal.SIGSTOP)
+    os.waitpid(process.pid, os.WUNTRACED)  # returns once the child has stopped
+
+
+def resume(process, sock) -> None:
+    """Let the held server run, and wait for its replies to the requests
+    it held, so the next poll finds an update."""
+    process.send_signal(signal.SIGCONT)
+    readable, _, _ = select.select([sock], [], [], 5.0)
+    assert readable, "no reply within 5 s of resuming the server"
+
+
+def test_timed_steps_that_reuse_the_cached_frame_are_counted():
+    with server_process("--seed", str(SEED)) as (process, port, _):
+        with make_env(EnvConfig(port=port)) as env:
+            env.reset()
+            for _ in range(2):
+                env.step(0)
+            assert env.stale_steps == 0
+            hold(process)
+            for _ in range(HELD):
+                observation = env.step(0).observation
+                assert env.stale_steps == observation.step_index - 2
+            resume(process, env.session._sock)
+            for _ in range(2):
+                env.step(0)
+            assert env.stale_steps == HELD
+
+
+def test_capture_frames_that_reuse_the_cached_frame_are_counted():
+    stop = threading.Event()
+    with server_process("--seed", str(SEED)) as (process, port, _):
+        with connect("127.0.0.1", port) as session:
+
+            def callback(framebuffer, index):
+                if index == 2:
+                    hold(process)
+                elif index == 2 + HELD:
+                    resume(process, session._sock)
+                elif index == 4 + HELD:
+                    stop.set()
+
+            stats = session.run_unrestricted(callback, 30.0, stop)
+    assert stats.error is None
+    assert stats.frames_delivered == 5 + HELD
+    assert stats.frames_stale == HELD

@@ -29,19 +29,24 @@ from pathlib import Path
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced perfbench run from ``checkout``; its result line, with
-    the exit code and the wall time of the whole process."""
+    the exit code and the wall time of the whole process. A run that gives
+    no result line, or outlives its timeout, counts as incorrect; a timed-out
+    one has exit code None."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     started = time.perf_counter()
-    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True,
-                          timeout=4 * seconds + 300)
-    lines = done.stdout.strip().splitlines()
+    failed = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
     try:
-        result = json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
-        result = {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
-                  "error": done.stderr.strip()[-2000:]}
-    result["exit_code"] = done.returncode
+        done = subprocess.run(command, cwd=checkout, capture_output=True, text=True,
+                              timeout=4 * seconds + 300)
+    except subprocess.TimeoutExpired:
+        result = {**failed, "error": "timed out", "exit_code": None}
+    else:
+        try:
+            result = json.loads(done.stdout.strip().splitlines()[-1])
+        except (IndexError, json.JSONDecodeError):
+            result = {**failed, "error": done.stderr.strip()[-2000:]}
+        result["exit_code"] = done.returncode
     result["wall_s"] = time.perf_counter() - started
     result["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
     return result
