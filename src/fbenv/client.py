@@ -16,7 +16,10 @@ decoding of one receive. :func:`connect` enters its connection in
 :class:`~fbenv.server.MockServer` in this process that accepts it takes
 the entry and hands back the server's end of the connection, which the
 session serves on its own thread after each write, so a step involves
-no other thread; the bytes still cross the socket. The in-process read
+no other thread; the bytes still cross the socket, and a queue of key
+events longer than :data:`MAX_PIECE` goes in pieces, each served before
+the next, since nothing else reads the socket. A receive from any other
+server first waits until the socket is readable. The in-process read
 rule: that end has written its whole reply when the write returns, and
 returns the count of bytes it wrote, so a request reads exactly that
 many and makes no receive that would find nothing. Closing the socket
@@ -73,6 +76,11 @@ DEFAULT_CONNECT_TIMEOUT = 5.0
 #: bounds worst-case capture and timed-mode step latency. A lockstep Env
 #: waits DEFAULT_CONNECT_TIMEOUT instead and raises, never reusing a frame.
 POLL_DEADLINE = 0.1
+
+#: Most bytes of queued key events written at once to a server's end that
+#: this thread serves; a multiple of a KeyEvent's 8 bytes, and well under
+#: what a loopback socket takes before anyone reads it.
+MAX_PIECE = 16384
 
 #: Connections :func:`connect` is handshaking, by (client address, server
 #: address); a lockstep server in this process appends its end of one.
@@ -214,24 +222,40 @@ class Session:
             raise InvalidStateError(f"session is {self.state.value}, not ready")
 
     def _send(self, payload: bytes) -> None:
-        """Write the queued input events, then ``payload``, in one sendall;
-        then serve the server's end, if this thread serves it."""
-        if self._queued:
-            payload = bytes(self._queued) + payload
-            self._queued.clear()
+        """Write the queued input events, then ``payload``, in one sendall.
+
+        When this thread serves the server's end, nothing else reads the
+        socket: a queue longer than MAX_PIECE bytes is written in pieces of
+        whole key events, each served before the next, and ``payload`` goes
+        with the last piece."""
+        queued = self._queued
+        while self._server_end is not None and len(queued) > MAX_PIECE:
+            piece = bytes(queued[:MAX_PIECE])
+            del queued[:MAX_PIECE]
+            self._write(piece)
+        if queued:
+            payload = bytes(queued) + payload
+            queued.clear()
+        self._write(payload)
+
+    def _write(self, data: bytes) -> None:
+        """One sendall; then serve the server's end, if this thread serves it."""
         try:
-            self._sock.sendall(payload)
+            self._sock.sendall(data)
         except OSError as exc:
             self.close()
             raise ConnectionLostError(f"send failed: {exc}") from exc
         if self._server_end is not None:
-            self._unread += self._server_end.serve(len(payload))
+            self._unread += self._server_end.serve(len(data))
 
     def _recv_into_buffer(self, deadline: float) -> bool:
         """Pull one chunk off the socket, waiting until ``deadline`` (on
         the ``time.monotonic`` clock) only while nothing has arrived;
         False if nothing did."""
         while True:
+            if self._server_end is None:  # a threaded peer's reply is rarely in yet: wait for it first
+                if not self._readable.poll(max(deadline - time.monotonic(), 0.0) * 1000.0):
+                    return False
             try:
                 chunk = self._sock.recv(65536, socket.MSG_DONTWAIT)
                 break

@@ -48,6 +48,7 @@ from .errors import ConnectionLostError, InvalidStateError, ResetTimeoutError, U
 # fbenv.env.downsample and fbenv.env.pixel_rgb, the names perfbench's tracer wraps
 from .framebuffer import GrayCells, GrayFrame, downsample, pixel_rgb  # noqa: F401
 from .keys import KEY_LEFT, KEY_RIGHT, KEY_SPACE
+from .record import record
 
 RESET_DEADLINE = 2.0
 
@@ -107,13 +108,13 @@ class EnvConfig:
                 raise ValueError(f"probe {self.probe_xy} outside crop region {self.crop}")
 
 
-@dataclass(frozen=True)
+@record
 class Observation:
     frame: GrayFrame
     step_index: int
 
 
-@dataclass(frozen=True)
+@record
 class Transition:
     state: Observation
     action: int

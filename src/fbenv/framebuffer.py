@@ -121,22 +121,21 @@ def apply_update(fb: Framebuffer, update: FramebufferUpdate) -> Framebuffer:
     the pixels, the damage and the generation untouched.
     """
     bpp = fb.format.bytes_per_pixel
-    for rect, payload in update.rectangles:
-        if rect.x < 0 or rect.y < 0 or rect.x + rect.width > fb.width or rect.y + rect.height > fb.height:
+    for (x, y, width, height), payload in update.rectangles:
+        if x < 0 or y < 0 or x + width > fb.width or y + height > fb.height:
             raise UpdateRejectedError(
-                f"rectangle ({rect.x},{rect.y},{rect.width},{rect.height}) "
-                f"exceeds {fb.width}x{fb.height} bounds"
+                f"rectangle ({x},{y},{width},{height}) exceeds {fb.width}x{fb.height} bounds"
             )
-        expected = rect.width * rect.height * bpp
+        expected = width * height * bpp
         if len(payload) != expected:
             raise UpdateRejectedError(f"payload is {len(payload)} bytes, expected {expected}")
     pixels = fb.as_array()
-    for rect, payload in update.rectangles:
+    for (x, y, width, height), payload in update.rectangles:
         if not payload:
             continue  # a zero-size rectangle writes nothing
-        top, bottom = rect.y, rect.y + rect.height
-        source = np.frombuffer(payload, dtype=np.uint8).reshape(rect.height, rect.width, bpp)
-        pixels[top:bottom, rect.x : rect.x + rect.width] = source
+        top, bottom = y, y + height
+        source = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, bpp)
+        pixels[top:bottom, x : x + width] = source
         if fb.damage is not None:
             top, bottom = min(top, fb.damage[0]), max(bottom, fb.damage[1])
         fb.damage = top, bottom

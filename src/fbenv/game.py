@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidStateError
 from .framebuffer import Framebuffer, pack_rgb, word_dtype
+from .record import record
 from .wire import RGBX32, PixelFormat
 
 SCREEN_WIDTH = 160
@@ -58,7 +58,7 @@ _SEED_STRIDE = 0x9E3779B97F4A7C15  # 64-bit golden-ratio increment
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
 
-@dataclass(frozen=True)
+@record
 class GameState:
     position: float
     velocity: float
@@ -89,14 +89,8 @@ def step_game(state: GameState, tilt_input: int) -> GameState:
         raise ValueError(f"tilt input must be -1, 0 or +1, got {tilt_input}")
     velocity = state.velocity + CONTROL_GAIN * tilt_input + DRIFT_GAIN * state.position
     position = state.position + velocity
-    return GameState(
-        position=position,
-        velocity=velocity,
-        tilt=tilt_input,
-        ticks_survived=state.ticks_survived + 1,
-        terminal=abs(position) > 1.0,
-        rng_seed=state.rng_seed,
-    )
+    ticks = state.ticks_survived + 1
+    return GameState(position, velocity, tilt_input, ticks, abs(position) > 1.0, state.rng_seed)
 
 
 def ball_center_column(position: float) -> int:

@@ -47,12 +47,16 @@ server's end (:class:`_ServerEnd`), which the client's own thread serves
 after each of its writes, so a lockstep step hands no work to another
 thread. The connection's thread then parks until the socket hangs up:
 the client closes it (or is collected), a drop or ``stop()`` shuts it
-down. Every byte still crosses the socket either way.
+down. Every byte still crosses the socket either way; the client writes
+a burst of queued input longer than the socket takes in pieces, serving
+this end after each.
 
 Sockets block, and :meth:`MockServer.stop` wakes them: it shuts down both
 listeners and every open connection, which makes a blocked ``accept()``
 raise, a blocked ``recv()`` return ``b""`` and a parked connection thread
-see the hang-up, so every thread sees the stop at once. The only
+see the hang-up, so every thread sees the stop at once. It also sets the
+stop flag, a lock the ticker's every wait tries to take, which ends that
+wait; ``stop()`` may be called again. The only
 timeouts bound a stalled peer: a handshake that stalls for STALL_TIMEOUT
 seconds, or a send that does, drops the client; on the client's thread,
 a reply the kernel will not take at once drops it. A connected client
@@ -122,13 +126,38 @@ def _true_span(mask: np.ndarray) -> tuple[int, int] | None:
     return first // row_size, flags.rfind(1) // row_size + 1
 
 
+class _StopFlag:
+    """The server's stop, which stays set; :meth:`set` may be called any
+    number of times, from any thread. :meth:`wait` is one timed acquire of
+    a lock held until :meth:`set`, cheaper per tick than ``Event.wait``."""
+
+    def __init__(self):
+        self._is_set = False
+        self._unset = threading.Lock()  # held until set()
+        self._unset.acquire()
+
+    def set(self) -> None:
+        self._is_set = True  # first, so every later wait returns at once
+        try:
+            self._unset.release()
+        except RuntimeError:  # released by an earlier set()
+            pass
+
+    def is_set(self) -> bool:
+        return self._is_set
+
+    def wait(self, timeout: float) -> bool:
+        """True once set; else wait up to ``timeout`` seconds for set()."""
+        return self._is_set or self._unset.acquire(timeout=timeout)
+
+
 class MockServer:
     """Running server handle; use :func:`serve` or as a context manager."""
 
     def __init__(self, config: ServerConfig | None = None):
         self.config = config or ServerConfig()
         self._lock = threading.Lock()
-        self._stop = threading.Event()
+        self._stop = _StopFlag()
         self._threads: list[threading.Thread] = []
         self._side_threads: list[threading.Thread] = []  # one per side-channel client, under the lock
         self._listener: socket.socket | None = None

@@ -10,6 +10,11 @@ Each fixed layout is one module-level :class:`struct.Struct` that its
 encoder and its decoder share; encoding a field outside its wire integer
 range raises ValueError.
 
+Messages, and the Rectangle they carry, are :mod:`fbenv.record` records:
+immutable tuples, equal only to a message of their own type with equal
+fields, each built once per message by a single tuple construction.
+A decoded rectangle's payload is copied out of the buffer once.
+
 Decoders are pure functions over byte buffers and return the number of
 bytes consumed, so callers own the socket buffering. A buffer that ends
 mid-message raises :class:`IncompleteMessageError`, which is retryable
@@ -31,6 +36,7 @@ from .errors import (
     UnsupportedSecurityError,
     UnsupportedVersionError,
 )
+from .record import record
 
 PROTOCOL_VERSION = b"RFB 003.008\n"
 
@@ -152,48 +158,49 @@ RGBX32 = PixelFormat(
 )
 
 
-@dataclass(frozen=True)
+@record
 class Rectangle:
     x: int
     y: int
     width: int
     height: int
 
-    def __post_init__(self):
-        if self.width < 0 or self.height < 0:
+    def __new__(cls, x: int, y: int, width: int, height: int):
+        if width < 0 or height < 0:
             raise ValueError("rectangle dimensions must be non-negative")
+        return tuple.__new__(cls, (x, y, width, height))
 
 
-@dataclass(frozen=True)
+@record
 class SetPixelFormat:
     format: PixelFormat
 
 
-@dataclass(frozen=True)
+@record
 class SetEncodings:
     encodings: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class FramebufferUpdateRequest:
     incremental: bool
     region: Rectangle
 
 
-@dataclass(frozen=True)
+@record
 class KeyEvent:
     down: bool
     keysym: int
 
 
-@dataclass(frozen=True)
+@record
 class PointerEvent:
     button_mask: int
     x: int
     y: int
 
 
-@dataclass(frozen=True)
+@record
 class ClientCutText:
     text: str
 
@@ -203,17 +210,17 @@ ClientMessage = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class FramebufferUpdate:
     rectangles: tuple[tuple[Rectangle, bytes], ...]
 
 
-@dataclass(frozen=True)
+@record
 class Bell:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class ServerCutText:
     text: str
 
@@ -246,10 +253,8 @@ def encode_client_message(msg: ClientMessage) -> bytes:
             head = _COUNTED_HEAD.pack(MSG_SET_ENCODINGS, count)
             return head + struct.pack(f">{count}i", *msg.encodings)
         if isinstance(msg, FramebufferUpdateRequest):
-            r = msg.region
-            return _UPDATE_REQUEST.pack(
-                MSG_FRAMEBUFFER_UPDATE_REQUEST, 1 if msg.incremental else 0, r.x, r.y, r.width, r.height
-            )
+            incremental = 1 if msg.incremental else 0
+            return _UPDATE_REQUEST.pack(MSG_FRAMEBUFFER_UPDATE_REQUEST, incremental, *msg.region)
         if isinstance(msg, KeyEvent):
             return _KEY_EVENT.pack(MSG_KEY_EVENT, 1 if msg.down else 0, msg.keysym)
         if isinstance(msg, PointerEvent):
@@ -262,8 +267,10 @@ def encode_client_message(msg: ClientMessage) -> bytes:
 def _unpack(layout: struct.Struct, data, offset: int = 0) -> tuple:
     """The fields of ``layout`` at ``offset`` in ``data``; raises
     IncompleteMessageError while ``data`` ends before they do."""
-    _need(data, offset + layout.size)
-    return layout.unpack_from(data, offset)
+    try:
+        return layout.unpack_from(data, offset)
+    except struct.error as exc:  # the one struct.error unpack_from raises: data ends too soon
+        raise IncompleteMessageError(str(exc)) from None
 
 
 def _need(data, count: int) -> None:
@@ -321,8 +328,8 @@ def encode_framebuffer_update(rectangles) -> bytes:
     payload length must already match width * height * bytes-per-pixel.
     """
     parts = [_COUNTED_HEAD.pack(MSG_FRAMEBUFFER_UPDATE, len(rectangles))]
-    for rect, payload in rectangles:
-        parts.append(_RECTANGLE_HEAD.pack(rect.x, rect.y, rect.width, rect.height, ENCODING_RAW))
+    for (x, y, width, height), payload in rectangles:
+        parts.append(_RECTANGLE_HEAD.pack(x, y, width, height, ENCODING_RAW))
         parts.append(bytes(payload))
     return b"".join(parts)
 
@@ -345,24 +352,26 @@ def decode_server_message(data, fmt: PixelFormat, screen: tuple[int, int]) -> tu
         declared = 0
         offset = _COUNTED_HEAD.size
         rectangles = []
-        for _ in range(count):
-            x, y, w, h, encoding = _unpack(_RECTANGLE_HEAD, data, offset)
-            offset += _RECTANGLE_HEAD.size
-            if encoding != ENCODING_RAW:
-                raise UnsupportedEncodingError(f"encoding {encoding} not supported (raw only)")
-            if x + w > screen_w or y + h > screen_h:
-                raise ProtocolError(
-                    f"rectangle ({x},{y},{w},{h}) outside {screen_w}x{screen_h} screen"
-                )
-            payload_len = w * h * fmt.bytes_per_pixel
-            declared += payload_len
-            if declared > payload_cap:
-                raise ProtocolError(
-                    f"update declares over {payload_cap} pixel bytes ({MAX_UPDATE_SCREENS} screens)"
-                )
-            _need(data, offset + payload_len)
-            rectangles.append((Rectangle(x, y, w, h), bytes(data[offset : offset + payload_len])))
-            offset += payload_len
+        with memoryview(data) as view:  # released on every exit, so a bytearray can be resized again
+            for _ in range(count):
+                x, y, w, h, encoding = _unpack(_RECTANGLE_HEAD, data, offset)
+                offset += _RECTANGLE_HEAD.size
+                if encoding != ENCODING_RAW:
+                    raise UnsupportedEncodingError(f"encoding {encoding} not supported (raw only)")
+                if x + w > screen_w or y + h > screen_h:
+                    raise ProtocolError(
+                        f"rectangle ({x},{y},{w},{h}) outside {screen_w}x{screen_h} screen"
+                    )
+                payload_len = w * h * fmt.bytes_per_pixel
+                declared += payload_len
+                if declared > payload_cap:
+                    raise ProtocolError(
+                        f"update declares over {payload_cap} pixel bytes ({MAX_UPDATE_SCREENS} screens)"
+                    )
+                end = offset + payload_len
+                _need(data, end)
+                rectangles.append((Rectangle(x, y, w, h), view[offset:end].tobytes()))  # the one copy
+                offset = end
         return FramebufferUpdate(tuple(rectangles)), offset
     if msg_type == MSG_SET_COLOUR_MAP_ENTRIES:
         raise UnsupportedEncodingError(

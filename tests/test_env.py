@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fbenv.env
-from fbenv.env import Env, EnvConfig, load_env_config, make_env, save_env_config
+from fbenv.env import Env, EnvConfig, Observation, Transition, load_env_config, make_env, save_env_config
 from fbenv.errors import ConnectionLostError, InvalidStateError
-from fbenv.framebuffer import Framebuffer, downsample, pixel_rgb, to_grayscale
+from fbenv.framebuffer import Framebuffer, GrayFrame, downsample, pixel_rgb, to_grayscale
 from fbenv.keys import KEY_LEFT, KEY_RIGHT, KEY_SPACE
 from fbenv.server import MockServer
 from fbenv.wire import FramebufferUpdateRequest
@@ -164,6 +164,26 @@ def test_probe_is_the_rescaled_channel_rule_in_every_format(fmt, word, offsets, 
     env = Env(config, SimpleNamespace(width=16, height=16, framebuffer=fb))
     deviation = max(abs(channel - expected) for channel, expected in zip(rgb, probe_rgb))
     assert env._probe_terminal() == (deviation <= tolerance)
+
+
+def test_observations_and_transitions_are_immutable_truthy_records_equal_only_per_type():
+    frame = GrayFrame(2, 2, np.zeros((2, 2), dtype=np.uint8))
+    observation = Observation(frame, 3)
+    transition = Transition(observation, 1, 0.5, Observation(frame, 4), False)
+    for record in (observation, transition):
+        twin = type(record)(*record)
+        assert twin is not record
+        assert record == twin and not record != twin
+        assert record != tuple(record) and tuple(record) != record
+        assert record
+        with pytest.raises(AttributeError):
+            setattr(record, type(record)._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+    assert observation != transition
+    for record in (observation, transition):
+        with pytest.raises(TypeError):  # a GrayFrame is unhashable, so neither record hashes
+            hash(record)
 
 
 def test_noop_episode_score_matches_dynamics_oracle(env_factory):

@@ -308,6 +308,24 @@ def test_draw_in_place_matches_a_fresh_render(fmt, states):
         previous = g
 
 
+# -- the state record --------------------------------------------------------
+
+
+def test_game_state_is_an_immutable_truthy_record_equal_only_to_game_states():
+    g = new_game(5)
+    twin = GameState(*g)
+    assert twin is not g
+    assert g == twin and not g != twin
+    assert hash(g) == hash(twin)
+    assert g != tuple(g) and tuple(g) != g
+    assert g != step_game(g, 1)
+    assert g
+    with pytest.raises(AttributeError):
+        g.position = 0.0
+    with pytest.raises(AttributeError):
+        g.extra = 1
+
+
 # -- scoring -----------------------------------------------------------------
 
 

@@ -201,6 +201,58 @@ def test_pixel_format_pack_unpack_round_trip():
     assert PixelFormat.unpack(packed) == RGBX32
 
 
+# -- message records ---------------------------------------------------------
+
+_RECORDS = [
+    Rectangle(1, 2, 3, 4),
+    SetPixelFormat(RGBX32),
+    SetEncodings((0, -239)),
+    FramebufferUpdateRequest(True, Rectangle(0, 0, 160, 160)),
+    KeyEvent(True, 0xFF51),
+    PointerEvent(1, 2, 3),
+    ClientCutText("a"),
+    FramebufferUpdate(((Rectangle(0, 0, 1, 1), b"\x01" * 4),)),
+    Bell(),
+    ServerCutText("a"),
+]
+
+
+@pytest.mark.parametrize("message", _RECORDS, ids=lambda message: type(message).__name__)
+def test_message_records_are_immutable_truthy_and_equal_only_per_type(message):
+    twin = type(message)(*message)
+    assert twin is not message
+    assert message == twin and not message != twin
+    assert hash(message) == hash(twin)
+    assert message  # truthy, a Bell with no fields too
+    plain = tuple(message)
+    assert message != plain and plain != message and not message == plain
+    for other in _RECORDS:
+        if type(other) is not type(message):
+            assert message != other and not message == other
+    with pytest.raises(AttributeError):
+        message.extra = 1
+    for field in type(message)._fields:
+        with pytest.raises(AttributeError):
+            setattr(message, field, None)
+
+
+def test_records_with_equal_fields_differ_across_types():
+    assert ClientCutText("a") != ServerCutText("a")
+    assert ServerCutText("a") != ClientCutText("a")
+    assert FramebufferUpdate(()) != SetEncodings(())
+    assert SetEncodings(()) != FramebufferUpdate(())
+    assert len({ClientCutText("a"), ServerCutText("a"), ClientCutText("a")}) == 2
+
+
+def test_rectangle_rejects_a_negative_size():
+    for width, height in ((-1, 0), (0, -1), (-2, -2)):
+        with pytest.raises(ValueError, match="non-negative"):
+            Rectangle(0, 0, width, height)
+    with pytest.raises(ValueError, match="non-negative"):
+        Rectangle(0, 0, 1, 1)._replace(width=-1)
+    assert Rectangle(-1, -1, 0, 0).width == 0  # position is checked against the screen, not here
+
+
 # -- pixel format invariants -------------------------------------------------
 
 
