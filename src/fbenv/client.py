@@ -124,7 +124,9 @@ class Pacer:
     ticks never bunch.
 
     :meth:`wait` sleeps with this module's ``time.sleep``; given a ``stop``
-    event, it waits on that event instead, so setting it ends the wait.
+    with a ``wait(timeout)`` method that returns True once the stop is set
+    (a ``threading.Event`` or the server's stop flag), it waits on that
+    instead, so setting the stop ends the wait.
     """
 
     def __init__(self, period: float, stop=None):

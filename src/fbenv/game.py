@@ -16,9 +16,10 @@ paddle bar with tilt shown as end offsets, a white 8x8 ball, and a
 solid red screen once the state is terminal (the terminal probe
 target). One routine, :func:`draw`, does all drawing: :func:`render`
 runs it on a fresh blank framebuffer, and the server runs it in place on
-its canonical frame each tick, clearing only the previous state's
-:func:`drawn_rows`, so a tick allocates no frame. Each episode draws its
-starting perturbation from a per-episode seed; see :func:`episode_seed`.
+the frame its client holds each time it sends an update, clearing only
+the shown state's :func:`drawn_rows`, so an update allocates no frame.
+Each episode draws its starting perturbation from a per-episode seed;
+see :func:`episode_seed`.
 """
 
 from __future__ import annotations

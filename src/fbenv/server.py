@@ -9,19 +9,20 @@ configured rate, paced by :class:`fbenv.client.Pacer`, and lockstep mode
 where each incremental update request advances the game exactly one tick
 (non-incremental requests never tick; they just resync).
 
-The server holds two frames: the canonical frame (the game's latest
-render) and the mirror (what the client has been sent). Both are
-``(height, width)`` arrays of one word per pixel in the negotiated
-format (:func:`fbenv.framebuffer.word_dtype`), so an incremental update
-is the bounding box of the words that differ, and its ``tobytes()`` is
-the raw rectangle payload as RFC 6143 sends it. Each tick redraws the
-canonical frame in place with :func:`fbenv.game.draw`, clearing only
-the previous state's drawn rows; a new client or a SetPixelFormat gets
-a freshly rendered one. ``_shown`` records the game state whose render
-the mirror holds (None for an all-background mirror). An update sends
-nothing while it is the current state, and otherwise compares only the
-rows :func:`fbenv.game.drawn_rows` gives for the two states, since every
-other row is background in both frames.
+The server holds one frame, the one its client holds: a
+``(height, width)`` array of one word per pixel in the negotiated format
+(:func:`fbenv.framebuffer.word_dtype`), so a region's ``tobytes()`` is
+the raw rectangle payload as RFC 6143 sends it. ``_shown`` records the
+game state whose render the frame holds (None for an all-background
+frame, as a new client or a SetPixelFormat starts from). Ticks and
+resets only step the game; nothing is drawn until an update is sent.
+An update draws the current state over the shown one in place with
+:func:`fbenv.game.draw`, which clears only the shown state's drawn rows.
+A full update sends the whole frame; an incremental one sends the
+bounding box of the words the draw changed, comparing only the rows
+:func:`fbenv.game.drawn_rows` gives for the two states, since every
+other row is background before and after, so it is empty while the
+shown state is the current one.
 
 A diagnostic side channel on a second TCP port answers the line "HASH"
 with the FNV-1a hash of the framebuffer as of the last update sent plus
@@ -77,6 +78,7 @@ import numpy as np
 from . import game
 from .client import _IN_PROCESS_CLIENTS, Pacer
 from .fnv import fnv1a64
+from .framebuffer import word_dtype
 from .keys import KEY_LEFT, KEY_RIGHT, KEY_SPACE
 from .wire import (
     ENCODING_RAW,
@@ -167,10 +169,8 @@ class MockServer:
         self._last_drop: str | None = None  # "ExceptionType: message", under the lock
         self._episode = 0
         self._game = game.new_game(game.episode_seed(self.config.seed, 0))
-        self._format = RGBX32
         self._held: set[int] = set()
-        self._render()
-        self._zero_mirror()
+        self._start_over(RGBX32)
         self._generation = 0
 
     # -- lifecycle ------------------------------------------------------
@@ -293,28 +293,16 @@ class MockServer:
 
     # -- game state (all callers hold the lock) -------------------------
 
-    def _render(self) -> None:
-        """Draw the current state into a fresh canonical frame."""
-        self._canonical = game.render(self._game, self._format).as_words()
-
     def _start_over(self, fmt: PixelFormat) -> None:
         """Serve ``fmt`` to a client that holds nothing yet (a new client or
-        a SetPixelFormat). The in-place draws keep the canonical frame
-        current, so only a new format renders it afresh."""
-        if fmt != self._format:
-            self._format = fmt
-            self._render()
-        self._zero_mirror()
-
-    def _zero_mirror(self) -> None:
-        """Forget what the client holds."""
-        self._mirror = np.zeros_like(self._canonical)
-        self._shown: game.GameState | None = None  # state rendered in the mirror
+        a SetPixelFormat): a blank frame, with no state shown in it."""
+        self._format = fmt
+        self._frame = np.zeros((game.SCREEN_HEIGHT, game.SCREEN_WIDTH), dtype=word_dtype(fmt))
+        self._shown: game.GameState | None = None  # state rendered in the frame
 
     def _reset_episode(self) -> None:
         self._episode += 1
-        previous, self._game = self._game, game.new_game(game.episode_seed(self.config.seed, self._episode))
-        game.draw(self._canonical, self._game, self._format, previous)
+        self._game = game.new_game(game.episode_seed(self.config.seed, self._episode))
 
     def _tilt(self) -> int:
         return (-1 if KEY_LEFT in self._held else 0) + (1 if KEY_RIGHT in self._held else 0)
@@ -324,8 +312,7 @@ class MockServer:
             if self.config.auto_reset:
                 self._reset_episode()
             return
-        previous, self._game = self._game, game.step_game(self._game, self._tilt())
-        game.draw(self._canonical, self._game, self._format, previous)
+        self._game = game.step_game(self._game, self._tilt())
 
     def game_state(self) -> game.GameState:
         """Snapshot of the current game state (diagnostics and tests)."""
@@ -348,7 +335,7 @@ class MockServer:
 
     def _ticker_loop(self) -> None:
         pacer = Pacer(1.0 / self.config.tick_rate, self._stop)
-        pacer.wait()  # the first grid tick is the frame rendered at start-up
+        pacer.wait()  # the first grid tick is the state at start-up
         while pacer.wait():
             with self._lock:
                 self._advance_tick()
@@ -465,36 +452,33 @@ class MockServer:
         with self._lock:
             if self.config.lockstep and incremental:
                 self._advance_tick()
-            if incremental:
-                rectangles = self._diff_rectangles()
-            else:
+            rectangles = self._draw_game()
+            if not incremental:
                 full = Rectangle(0, 0, game.SCREEN_WIDTH, game.SCREEN_HEIGHT)
-                rectangles = [(full, self._canonical.tobytes())]
-                self._mirror[:] = self._canonical
-                self._shown = self._game
+                rectangles = [(full, self._frame.tobytes())]
             self._generation += 1
             return encode_framebuffer_update(rectangles)
 
-    def _diff_rectangles(self) -> list[tuple[Rectangle, bytes]]:
-        """The bounding box of the words that differ, copied into the
-        mirror. Only the rows spanning the drawn rows of the shown and
-        the current state can differ."""
+    def _draw_game(self) -> list[tuple[Rectangle, bytes]]:
+        """Draw the current state over the shown one and return the
+        bounding box of the words that changed. Only the rows spanning the
+        drawn rows of the two states can change."""
         if self._shown is self._game:
             return []
         top, bottom = game.drawn_rows(self._game)
         if self._shown is not None:
             shown_top, shown_bottom = game.drawn_rows(self._shown)
             top, bottom = min(top, shown_top), max(bottom, shown_bottom)
-        self._shown = self._game  # once the box below is copied, mirror == canonical
-        changed = self._canonical[top:bottom] != self._mirror[top:bottom]
+        before = self._frame[top:bottom].copy()
+        game.draw(self._frame, self._game, self._format, self._shown)
+        self._shown = self._game
+        changed = self._frame[top:bottom] != before
         rows = _true_span(changed)
         if rows is None:
             return []
         y0, y1 = top + rows[0], top + rows[1]
         x0, x1 = _true_span(changed.any(axis=0))
-        region = self._canonical[y0:y1, x0:x1]
-        self._mirror[y0:y1, x0:x1] = region
-        return [(Rectangle(x0, y0, x1 - x0, y1 - y0), region.tobytes())]
+        return [(Rectangle(x0, y0, x1 - x0, y1 - y0), self._frame[y0:y1, x0:x1].tobytes())]
 
     # -- diagnostic side channel ------------------------------------------
 
@@ -507,9 +491,9 @@ class MockServer:
             for line in lines:
                 if line.strip() == b"HASH":
                     with self._lock:  # hash a copy, so the game never waits on FNV
-                        mirror = self._mirror.tobytes()
+                        frame = self._frame.tobytes()
                         generation = self._generation
-                    conn.sendall(f"{fnv1a64(mirror):016x} {generation}\n".encode("ascii"))
+                    conn.sendall(f"{fnv1a64(frame):016x} {generation}\n".encode("ascii"))
                 else:
                     conn.sendall(b"ERR unknown command\n")
 

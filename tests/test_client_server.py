@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import fbenv.client
+import fbenv.game
 import fbenv.server
 from fbenv.client import DEFAULT_CONNECT_TIMEOUT, Pacer, Session, SessionState, connect
 from fbenv.errors import (
@@ -791,9 +792,10 @@ def test_a_client_flooding_key_events_holds_no_call_of_a_timed_server(server_fac
 
 def test_a_burst_of_queued_keys_holds_no_call_of_an_in_process_server(server_factory, monkeypatch):
     """An in-process session's server end reads only what its client just
-    wrote; a burst of 200000 key events (1.6 MB, over 1 s to handle)
-    queued before one poll costs the server time but holds up none of its
-    calls, and the poll ends with a typed error once the server stops."""
+    wrote; a burst of 200000 key events (1.6 MB; 100000 space presses,
+    each a reset, about 0.77 s to handle on a 2-core host) queued before
+    one poll costs the server time but holds up none of its calls, and the
+    poll ends with a typed error once the server stops."""
     server = server_factory(lockstep=True, seed=3)
     with connect("127.0.0.1", server.port) as session:
         for _ in range(100000):
@@ -1090,3 +1092,30 @@ def test_hash_query_does_not_hold_the_game_lock(session_factory, monkeypatch):
         query.join(timeout=5.0)
     assert not query.is_alive()
     assert elapsed < 0.25
+
+
+def test_a_timed_server_draws_only_the_updates_it_sends(server_factory, monkeypatch):
+    """Ticks step the game and updates draw it: a 300 Hz server with no
+    client draws nothing while its game advances, and each update draws
+    at most once, however many ticks passed since the last."""
+    draws = []
+    draw = fbenv.game.draw
+
+    def counting_draw(*args):
+        draws.append(args[1])
+        draw(*args)
+
+    monkeypatch.setattr(fbenv.game, "draw", counting_draw)
+    server = server_factory(tick_rate=300.0, auto_reset=True, seed=5)
+    time.sleep(0.3)
+    assert server.episode > 0 or server.game_state().ticks_survived > 0
+    assert draws == []
+    polls = 10
+    with connect("127.0.0.1", server.port) as session:
+        for _ in range(polls):
+            time.sleep(0.01)  # three ticks between polls
+            session.poll(DEFAULT_CONNECT_TIMEOUT)
+        assert len(draws) <= polls + 1  # one more for the full update at connect
+        digest, generation = side_channel_hash(server.side_channel_port)
+        assert generation == session.frame_counter
+        assert digest == fnv1a64(bytes(session.framebuffer.pixels))
