@@ -33,7 +33,7 @@ Capture converts no pixels: each callback gets the live
 on demand.
 
 :class:`Pacer` is fbenv's only absolute-deadline scheduler; the timed
-environment and the server's wall-clock ticker use it too.
+environment uses it too.
 """
 
 from __future__ import annotations
@@ -124,9 +124,8 @@ class Pacer:
     ticks never bunch.
 
     :meth:`wait` sleeps with this module's ``time.sleep``; given a ``stop``
-    with a ``wait(timeout)`` method that returns True once the stop is set
-    (a ``threading.Event`` or the server's stop flag), it waits on that
-    instead, so setting the stop ends the wait.
+    ``threading.Event`` (as :meth:`Session.run_fixed_rate` passes), it
+    waits on that instead, so setting the stop ends the wait.
     """
 
     def __init__(self, period: float, stop=None):

@@ -27,8 +27,8 @@ independent of wall-clock speed: a step waits up to
 ``DEFAULT_CONNECT_TIMEOUT`` for its update and raises
 :class:`~fbenv.errors.ConnectionLostError` if none comes, rather than
 reuse the cached frame. In timed mode the keys are written before the
-step waits for its tick, so the server's ticker sees them on time, and
-steps are paced to the configured tick rate by
+step waits for its tick, so every server tick after they arrive acts
+on them, and steps are paced to the configured tick rate by
 :class:`fbenv.client.Pacer`, whose grid restarts at each reset; a timed
 step whose poll applies no update reuses the frame before and is
 counted in :attr:`Env.stale_steps`. A reset writes its key-up, its

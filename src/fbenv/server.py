@@ -4,10 +4,15 @@ The server answers every framebuffer update request immediately: changed
 regions as one raw rectangle, or an empty update when nothing changed,
 so clients can poll at snapshot rate. Held arrow keys steer the paddle
 (LEFT -> tilt -1, RIGHT -> +1), and a space press starts a fresh episode
-from any state. Two clocks are supported: a wall-clock ticker at a
-configured rate, paced by :class:`fbenv.client.Pacer`, and lockstep mode
-where each incremental update request advances the game exactly one tick
-(non-incremental requests never tick; they just resync).
+from any state. Both clocks run the ticks due, under the lock, on the
+thread handling a message: in lockstep mode each incremental update
+request is due one tick (non-incremental requests never tick; they just
+resync); a timed server, which has no thread of its own, is due tick k
+at k / tick_rate seconds after ``start()`` and runs the ticks due before
+a key event, before an update and in :meth:`game_state` and
+:attr:`episode`, so a key sent between ticks k and k + 1 acts from
+tick k + 1. One that falls behind catches up rather than skipping ticks,
+but at most MAX_CATCH_UP seconds of ticks at once, skipping older ones.
 
 The server holds one frame, the one its client holds: a
 ``(height, width)`` array of one word per pixel in the negotiated format
@@ -56,12 +61,12 @@ Sockets block, and :meth:`MockServer.stop` wakes them: it shuts down both
 listeners and every open connection, which makes a blocked ``accept()``
 raise, a blocked ``recv()`` return ``b""`` and a parked connection thread
 see the hang-up, so every thread sees the stop at once. It also sets the
-stop flag, a lock the ticker's every wait tries to take, which ends that
-wait; ``stop()`` may be called again. The only
-timeouts bound a stalled peer: a handshake that stalls for STALL_TIMEOUT
-seconds, or a send that does, drops the client; on the client's thread,
-a reply the kernel will not take at once drops it. A connected client
-that sends nothing is kept.
+stop flag, after which no tick runs, so a stopped server's game stays
+frozen; ``stop()`` may be called again. The only timeouts bound a
+stalled peer: a handshake that stalls for STALL_TIMEOUT seconds, or a
+send that does, drops the client; on the client's thread, a reply the
+kernel will not take at once drops it. A connected client that sends
+nothing is kept.
 """
 
 from __future__ import annotations
@@ -71,12 +76,13 @@ import select
 import socket
 import struct
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import game
-from .client import _IN_PROCESS_CLIENTS, Pacer
+from .client import _IN_PROCESS_CLIENTS
 from .fnv import fnv1a64
 from .framebuffer import word_dtype
 from .keys import KEY_LEFT, KEY_RIGHT, KEY_SPACE
@@ -100,6 +106,7 @@ SERVER_NAME = "multitask-lite"
 STALL_TIMEOUT = 10  # seconds a stalled peer may hold a connection
 MAX_SIDE_CHANNEL_LINE = 64  # bytes in one side-channel line; a longer one drops the client
 MAX_SIDE_CHANNEL_CLIENTS = 4  # side-channel connections served at once; one more is dropped
+MAX_CATCH_UP = 1.0  # seconds of ticks a timed server runs at once; older ticks due are skipped
 
 
 @dataclass
@@ -128,38 +135,13 @@ def _true_span(mask: np.ndarray) -> tuple[int, int] | None:
     return first // row_size, flags.rfind(1) // row_size + 1
 
 
-class _StopFlag:
-    """The server's stop, which stays set; :meth:`set` may be called any
-    number of times, from any thread. :meth:`wait` is one timed acquire of
-    a lock held until :meth:`set`, cheaper per tick than ``Event.wait``."""
-
-    def __init__(self):
-        self._is_set = False
-        self._unset = threading.Lock()  # held until set()
-        self._unset.acquire()
-
-    def set(self) -> None:
-        self._is_set = True  # first, so every later wait returns at once
-        try:
-            self._unset.release()
-        except RuntimeError:  # released by an earlier set()
-            pass
-
-    def is_set(self) -> bool:
-        return self._is_set
-
-    def wait(self, timeout: float) -> bool:
-        """True once set; else wait up to ``timeout`` seconds for set()."""
-        return self._is_set or self._unset.acquire(timeout=timeout)
-
-
 class MockServer:
     """Running server handle; use :func:`serve` or as a context manager."""
 
     def __init__(self, config: ServerConfig | None = None):
         self.config = config or ServerConfig()
         self._lock = threading.Lock()
-        self._stop = _StopFlag()
+        self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
         self._side_threads: list[threading.Thread] = []  # one per side-channel client, under the lock
         self._listener: socket.socket | None = None
@@ -169,6 +151,8 @@ class MockServer:
         self._last_drop: str | None = None  # "ExceptionType: message", under the lock
         self._episode = 0
         self._game = game.new_game(game.episode_seed(self.config.seed, 0))
+        self._started: float | None = None  # when a timed server's tick 0 fell, set by start()
+        self._ticks = 0  # ticks a timed server has run or skipped since then
         self._held: set[int] = set()
         self._start_over(RGBX32)
         self._generation = 0
@@ -181,7 +165,7 @@ class MockServer:
         self._spawn(self._serve_rfb_port, "fbenv-server-accept")
         self._spawn(self._serve_side_port, "fbenv-server-hash")
         if not self.config.lockstep:
-            self._spawn(self._ticker_loop, "fbenv-server-ticker")
+            self._started = time.monotonic()
         return self
 
     def stop(self) -> None:
@@ -314,14 +298,28 @@ class MockServer:
             return
         self._game = game.step_game(self._game, self._tilt())
 
+    def _catch_up(self) -> None:
+        """Run the ticks a timed server has due: tick k falls k / tick_rate
+        seconds after start(). One call runs at most MAX_CATCH_UP seconds of
+        them and skips older ones; a stopped server runs none."""
+        if self._started is None or self._stop.is_set():
+            return
+        due = math.floor((time.monotonic() - self._started) * self.config.tick_rate)
+        self._ticks = max(self._ticks, due - math.floor(MAX_CATCH_UP * self.config.tick_rate))
+        while self._ticks < due:
+            self._ticks += 1
+            self._advance_tick()
+
     def game_state(self) -> game.GameState:
         """Snapshot of the current game state (diagnostics and tests)."""
         with self._lock:
+            self._catch_up()
             return self._game
 
     @property
     def episode(self) -> int:
         with self._lock:
+            self._catch_up()
             return self._episode
 
     @property
@@ -330,15 +328,6 @@ class MockServer:
         reason as "ExceptionType: message" (None before the first)."""
         with self._lock:
             return self._drops, self._last_drop
-
-    # -- ticker (timed mode) ---------------------------------------------
-
-    def _ticker_loop(self) -> None:
-        pacer = Pacer(1.0 / self.config.tick_rate, self._stop)
-        pacer.wait()  # the first grid tick is the state at start-up
-        while pacer.wait():
-            with self._lock:
-                self._advance_tick()
 
     # -- RFB connection handling -----------------------------------------
 
@@ -434,6 +423,8 @@ class MockServer:
 
     def _on_key(self, event: KeyEvent) -> None:
         with self._lock:
+            if not self.config.lockstep:
+                self._catch_up()
             if event.keysym in (KEY_LEFT, KEY_RIGHT):
                 if event.down:
                     self._held.add(event.keysym)
@@ -450,7 +441,9 @@ class MockServer:
 
     def _update_payload(self, incremental: bool) -> bytes:
         with self._lock:
-            if self.config.lockstep and incremental:
+            if not self.config.lockstep:
+                self._catch_up()
+            elif incremental:
                 self._advance_tick()
             rectangles = self._draw_game()
             if not incremental:

@@ -8,6 +8,7 @@ import struct
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -212,7 +213,7 @@ def test_refresh_does_not_tick_in_lockstep(session_factory):
 
 
 def test_static_screen_polls_return_identical_frames(session_factory):
-    # 1 Hz ticker and near-zero velocity: polls within a second see no motion
+    # 1 Hz ticks and near-zero velocity: polls within a second see no motion
     session, _ = session_factory(tick_rate=1.0, seed=11)
     session.poll()
     first = session.snapshot()
@@ -337,7 +338,7 @@ def test_send_pointer_bounds(session_factory):
 
 def test_server_stop_does_not_wait_out_a_tick(server_factory):
     server = server_factory(tick_rate=1.0)
-    time.sleep(0.05)  # the ticker is now waiting on its next one-second tick
+    time.sleep(0.05)  # mid-way to the first one-second tick, which no thread waits for
     started = time.monotonic()
     server.stop()
     assert time.monotonic() - started < 0.5
@@ -358,6 +359,88 @@ def test_server_stop_wakes_open_connections_at_once(server_factory):
         session.close()
         assert elapsed < 0.1
         assert not any(thread.is_alive() for thread in server._threads)
+
+
+# -- a timed server ticks on demand -------------------------------------------
+
+#: Seed whose first episode survives 134 ticks with no key held.
+ON_DEMAND_SEED = 12
+
+
+def oracle_state(ticks, key_from=None):
+    """``ON_DEMAND_SEED``'s first episode after ``ticks`` ticks, holding
+    LEFT from tick ``key_from + 1`` on (never if None), by the game oracle."""
+    state = fbenv.game.new_game(fbenv.game.episode_seed(ON_DEMAND_SEED, 0))
+    for tick in range(ticks):
+        state = fbenv.game.step_game(state, -1 if key_from is not None and tick >= key_from else 0)
+    return state
+
+
+def ticks_due(rate, earliest, latest, started):
+    """The tick counts a call between ``earliest`` and ``latest`` may see
+    on a server whose ``start()`` ran within ``started``, a
+    ``(before, after)`` bracket: tick k falls k / rate s after start()."""
+    return range(math.floor((earliest - started[1]) * rate), math.floor((latest - started[0]) * rate) + 1)
+
+
+def test_a_stalled_timed_server_catches_up_instead_of_skipping_ticks(server_factory):
+    """A timed server has no thread of its own: it runs the ticks due
+    whenever it is asked. After its lock is held for 0.5 s, game_state()
+    holds the state after every tick due since start(), by the oracle."""
+    rate = 30.0
+    before = time.monotonic()
+    server = server_factory(tick_rate=rate, seed=ON_DEMAND_SEED)
+    started = (before, time.monotonic())
+    assert sorted(thread.name for thread in server._threads) == ["fbenv-server-accept", "fbenv-server-hash"]
+    with server._lock:
+        time.sleep(0.5)
+    called = time.monotonic()
+    state = server.game_state()
+    due = ticks_due(rate, called, time.monotonic(), started)
+    assert due.start >= 15
+    assert state.ticks_survived in due
+    assert state == oracle_state(state.ticks_survived)
+
+
+def test_keys_sent_between_two_ticks_act_from_the_next(server_factory):
+    """A key that arrives between ticks k and k + 1 acts from tick k + 1:
+    LEFT sent half-way between ticks 2 and 3 of a 10 Hz server, and the
+    state read half-way between ticks 5 and 6, match the oracle holding
+    LEFT from tick 3, within the ticks that the calls' times bracket."""
+    rate = 10.0
+    before = time.monotonic()
+    server = server_factory(tick_rate=rate, seed=ON_DEMAND_SEED)
+    started = (before, time.monotonic())
+    with connect("127.0.0.1", server.port) as session:
+        time.sleep(max(0.0, started[1] + 2.5 / rate - time.monotonic()))
+        sent = time.monotonic()
+        session.send_key(KEY_LEFT, True)
+        session.refresh()  # answered after the key is applied
+        keyed = ticks_due(rate, sent, time.monotonic(), started)
+        time.sleep(max(0.0, started[1] + 5.5 / rate - time.monotonic()))
+        called = time.monotonic()
+        state = server.game_state()
+        read = ticks_due(rate, called, time.monotonic(), started)
+    assert keyed.start >= 2 and read.start >= keyed.stop
+    assert state in [oracle_state(ticks, key_from) for key_from in keyed for ticks in read]
+
+
+def test_one_catch_up_runs_at_most_one_second_of_ticks(server_factory, monkeypatch):
+    """A timed server asked after an hour with no message runs one second
+    of ticks, skipping the older ones, so the call returns at once."""
+    server = server_factory(tick_rate=300.0, auto_reset=True, seed=ON_DEMAND_SEED)
+    ticks = []
+    advance = server._advance_tick
+    monkeypatch.setattr(server, "_advance_tick", lambda: (ticks.append(1), advance()))
+    real = time.monotonic
+    monkeypatch.setattr(fbenv.server, "time", types.SimpleNamespace(monotonic=lambda: real() + 3600.0))
+    called = real()
+    server.game_state()
+    assert real() - called < 0.5
+    assert len(ticks) == 300
+    ticks.clear()
+    server.game_state()  # the skipped ticks stay skipped
+    assert len(ticks) < 10
 
 
 # -- an in-process lockstep client serves the server's end ------------------
