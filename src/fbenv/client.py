@@ -55,6 +55,7 @@ from .errors import (
 from .framebuffer import Framebuffer, GrayFrame, apply_update, to_grayscale
 from .wire import (
     ENCODING_RAW,
+    MSG_SERVER_CUT_TEXT,
     RGBX32,
     FramebufferUpdate,
     FramebufferUpdateRequest,
@@ -65,6 +66,7 @@ from .wire import (
     ServerInit,
     SetEncodings,
     SetPixelFormat,
+    cut_text_span,
     decode_server_message,
     encode_client_message,
     perform_handshake,
@@ -182,6 +184,7 @@ class Session:
         self.framebuffer = Framebuffer.blank(server_init.width, server_init.height, fmt)
         self.state = SessionState.CONNECTING
         self._buffer = bytearray()
+        self._skip = 0  # bytes of a server cut text still to drop as they arrive
         self._queued = bytearray()  # encoded input events not yet written
         self._key_events: dict[tuple[int, bool], bytes] = {}  # encoded KeyEvent, by (keysym, down)
         region = Rectangle(0, 0, server_init.width, server_init.height)
@@ -275,18 +278,31 @@ class Session:
         return True
 
     def _decode_buffered(self):
-        """Decode one message from the buffer, or None if it is incomplete."""
-        if not self._buffer:
-            return None
-        try:
-            message, consumed = decode_server_message(self._buffer, self.format, self._screen)
-        except IncompleteMessageError:
-            return None
-        except Exception:
-            self.close()
-            raise
-        del self._buffer[:consumed]
-        return message
+        """Decode one message from the buffer, or None if it is incomplete.
+
+        A ServerCutText is dropped as its bytes arrive, never buffered
+        whole: the session ignores it, and its text may be up to
+        MAX_CUT_TEXT_LENGTH bytes."""
+        buffer = self._buffer
+        while True:
+            if self._skip:
+                dropped = min(self._skip, len(buffer))
+                del buffer[:dropped]
+                self._skip -= dropped
+            if not buffer:
+                return None
+            try:
+                if buffer[0] == MSG_SERVER_CUT_TEXT:
+                    self._skip = cut_text_span(buffer)
+                    continue
+                message, consumed = decode_server_message(buffer, self.format, self._screen)
+            except IncompleteMessageError:
+                return None
+            except Exception:
+                self.close()
+                raise
+            del buffer[:consumed]
+            return message
 
     # -- capture --------------------------------------------------------
 

@@ -309,14 +309,19 @@ def decode_client_message(data) -> tuple[ClientMessage, int]:
     raise ProtocolError(f"unknown client message type {msg_type}")
 
 
-def _decode_cut_text(data) -> tuple[str, int]:
-    """The Latin-1 text of a client or server cut-text message (type,
-    three pad bytes, U32 length, text) and the bytes it spans; a length
-    over MAX_CUT_TEXT_LENGTH raises ProtocolError from the 8-byte header."""
+def cut_text_span(data) -> int:
+    """The bytes a client or server cut-text message (type, three pad
+    bytes, U32 length, text) spans, read from its 8-byte header alone; a
+    length over MAX_CUT_TEXT_LENGTH raises ProtocolError."""
     _, length = _unpack(_CUT_TEXT_HEAD, data)
     if length > MAX_CUT_TEXT_LENGTH:
         raise ProtocolError(f"cut text of {length} bytes exceeds {MAX_CUT_TEXT_LENGTH}")
-    end = _CUT_TEXT_HEAD.size + length
+    return _CUT_TEXT_HEAD.size + length
+
+
+def _decode_cut_text(data) -> tuple[str, int]:
+    """The Latin-1 text of a cut-text message and the bytes it spans."""
+    end = cut_text_span(data)
     _need(data, end)
     return bytes(data[_CUT_TEXT_HEAD.size : end]).decode("latin-1"), end
 

@@ -140,6 +140,41 @@ def test_client_meets_a_fuzzed_server_with_typed_errors_only(payload):
     assert max(durations) < CALL_TIMEOUT + CALL_MARGIN, durations
 
 
+def serve_until_hung_up(listener: socket.socket, script: bytes) -> None:
+    """Send ``script`` to the first client and read until it hangs up."""
+    conn, _ = listener.accept()
+    with conn:
+        try:
+            conn.sendall(script)
+            while conn.recv(65536):
+                pass
+        except OSError:
+            pass  # the client hung up first
+
+
+def test_client_drops_a_longest_server_cut_text_without_holding_it():
+    full = struct.pack(">BxHHHHHi", 0, 1, 0, 0, SCREEN, SCREEN, ENCODING_RAW) + bytes(SCREEN * SCREEN * 4)
+    cut_text = struct.pack(">B3xI", 3, MAX_CUT_TEXT_LENGTH) + b"a" * MAX_CUT_TEXT_LENGTH
+    pixel = struct.pack(">BxHHHHHi", 0, 1, 0, 0, 1, 1, ENCODING_RAW) + b"\xff" * 4
+    script = handshake_script(width=SCREEN, height=SCREEN) + full + cut_text + pixel
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        server = threading.Thread(target=serve_until_hung_up, args=(listener, script))
+        server.start()
+        tracemalloc.start()
+        try:
+            with connect("127.0.0.1", listener.getsockname()[1], timeout=5.0) as session:
+                if session.frame_counter < 2:  # the refresh may have applied both updates
+                    assert session.poll(5.0)
+                assert session.frame_counter == 2
+                assert session.framebuffer.pixels[:4] == b"\xff" * 4
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            server.join(timeout=5.0)
+    assert not server.is_alive()
+    assert peak < CLIENT_PEAK_BOUND
+
+
 # -- fuzzed clients against MockServer --------------------------------------
 
 
