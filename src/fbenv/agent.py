@@ -32,7 +32,6 @@ N_POSITION_BINS = 12
 N_VELOCITY_BINS = 5
 MAX_COLUMN_DELTA = 2
 BLANK_KEY = N_POSITION_BINS * N_VELOCITY_BINS
-N_STATE_KEYS = BLANK_KEY + 1
 
 
 @dataclass(frozen=True)
@@ -49,11 +48,8 @@ class EpsilonSchedule:
 
 
 def epsilon(schedule: EpsilonSchedule, step: int) -> float:
-    """Linearly annealed exploration rate, clamped at the endpoint.
-
-    Exact at both ends: step 0 returns start, any step at or past the
-    anneal horizon returns end (no float residue).
-    """
+    """Linearly annealed exploration rate: exactly ``start`` at step 0 and
+    exactly ``end`` at or past the anneal horizon."""
     if step < 0:
         raise ValueError("step must be non-negative")
     if step >= schedule.anneal_steps:
@@ -96,11 +92,8 @@ class TrainReport:
 
 
 class QTable:
-    """State-key -> Q-value vector map; unseen states read as zeros.
-
-    A row is a list of Python floats, so a step's argmax, max and update
-    do no numpy scalar work; the arithmetic is float64 either way.
-    """
+    """State-key -> Q-value vector map; unseen states read as zeros. A row
+    is a list of Python floats, so a step does no numpy scalar work."""
 
     def __init__(self, n_actions: int):
         if n_actions < 1:
@@ -173,11 +166,8 @@ def _ball_band(height: int) -> tuple[int, int]:
 
 
 def ball_column(frame) -> int | None:
-    """Brightest column of the ball band, or None for a featureless band.
-
-    A uniform band (all-dark frame, solid terminal screen) has no unique
-    argmax and yields None.
-    """
+    """Brightest column of the ball band, or None for a uniform band
+    (an all-dark frame or the solid terminal screen)."""
     top, bottom = _ball_band(frame.height)
     brightness = frame.values[top:bottom].max(axis=0).tolist()
     brightest = max(brightness)
@@ -187,12 +177,9 @@ def ball_column(frame) -> int | None:
 
 
 def discretize(observation: Observation, previous: Observation | None) -> int:
-    """Map an observation to a table key: position bin x velocity bin.
-
-    Velocity comes from the ball-column delta against the previous
-    observation (0 when there is none). Featureless frames map to the
-    reserved BLANK_KEY.
-    """
+    """Map an observation to a table key: position bin x velocity bin,
+    the velocity from the ball-column delta against ``previous`` (0 with
+    none). Featureless frames map to the reserved BLANK_KEY."""
     previous_column = None if previous is None else ball_column(previous.frame)
     return _state_key(ball_column(observation.frame), previous_column, observation.frame.width)
 
@@ -243,13 +230,10 @@ def update_q(
 
 
 def train(env: Env, config: AgentConfig, episodes: int) -> tuple[QTable, TrainReport]:
-    """Run epsilon-greedy Q-learning episodes against an environment.
-
-    Fully deterministic for a lockstep environment and fixed seeds. An
-    environment error aborts training; the partial report carries it in
-    ``report.error``. Each observation's ball column is found once and
-    carried to the next step's key, which :func:`discretize` gives too.
-    """
+    """Run epsilon-greedy Q-learning episodes against an environment;
+    deterministic for a lockstep environment and fixed seeds. An
+    environment error aborts training, and the partial report carries it
+    in ``report.error``. Keys are those :func:`discretize` gives."""
     if episodes < 1:
         raise ValueError("need at least one episode")
     q = QTable(env.n_actions)

@@ -1,39 +1,18 @@
 """Live RFB client session: connection lifecycle, frame capture, input.
 
-A session owns one TCP connection and is strictly single-owner: all
-operations run on the caller's thread, and writes hit the wire in call
-order. :meth:`Session.queue_key` holds key events back until the next
-write (an update request, another input event or :meth:`Session.flush`),
-so a lockstep step's keys and its request share one ``sendall``; each
-``(keysym, down)`` pair is encoded once per session. Each request runs
-one receive loop: it waits for an update, then applies what else has
-already arrived. The socket blocks, and is read with ``MSG_DONTWAIT``; a
-receive waits on the deadline only while nothing has arrived, and no
-receive after a call's first starts once its deadline has passed, so a
-peer that floods the session holds a call for its timeout plus the
-decoding of one receive. :func:`connect` enters its connection in
-``_IN_PROCESS_CLIENTS`` for the length of the handshake; a lockstep
-:class:`~fbenv.server.MockServer` in this process that accepts it takes
-the entry and hands back the server's end of the connection, which the
-session serves on its own thread after each write, so a step involves
-no other thread; the bytes still cross the socket, and a queue of key
-events longer than :data:`MAX_PIECE` goes in pieces, each served before
-the next, since nothing else reads the socket. A receive from any other
-server first waits until the socket is readable. The in-process read
-rule: that end has written its whole reply when the write returns, and
-returns the count of bytes it wrote, so a request reads exactly that
-many and makes no receive that would find nothing. Closing the socket
-ends the server's side too.
-Two capture styles share one loop: a
-fixed-rate callback loop paced by :class:`Pacer` and an unrestricted
-tight poll loop that captures as fast as the server round-trips.
-Capture converts no pixels: each callback gets the live
-:class:`~fbenv.framebuffer.Framebuffer` mirror, valid until it returns;
-:meth:`Session.snapshot` (or ``to_grayscale``) makes a grayscale copy
-on demand.
+A :class:`Session` owns one TCP connection and is single-owner: every call
+runs on the caller's thread, and writes hit the wire in call order. Each
+update request runs one receive loop; no receive starts once a call's
+deadline has passed, so a peer that floods the session holds a call for
+about its timeout. :func:`connect` enters its connection in
+``_IN_PROCESS_CLIENTS`` during the handshake, so that a lockstep
+:class:`~fbenv.server.MockServer` in this process can hand the session
+the server's end of the connection, which the session serves on its own
+thread after each write.
 
-:class:`Pacer` is fbenv's only absolute-deadline scheduler; the timed
-environment uses it too.
+Capture runs one loop in two styles, fixed-rate (paced by :class:`Pacer`,
+fbenv's only absolute-deadline scheduler) and unrestricted; it converts no
+pixels, handing each callback the live framebuffer.
 """
 
 from __future__ import annotations
@@ -66,8 +45,8 @@ from .wire import (
     ServerInit,
     SetEncodings,
     SetPixelFormat,
-    cut_text_span,
     decode_server_message,
+    drop_cut_text,
     encode_client_message,
     perform_handshake,
 )
@@ -97,13 +76,9 @@ class SessionState(enum.Enum):
 
 @dataclass
 class CaptureStats:
-    """Outcome of a capture run.
-
-    ``error`` carries the exception that stopped the loop early (callback
-    failure or lost connection); None for a clean run.
-    ``frames_stale`` counts the delivered frames whose poll applied no
-    update, so the callback saw the frame before again.
-    """
+    """Outcome of a capture run. ``error`` is the exception that stopped
+    the loop early, None for a clean run; ``frames_stale`` counts the
+    frames whose poll applied no update."""
 
     frames_delivered: int
     wall_time: float
@@ -117,17 +92,13 @@ class CaptureStats:
 class Pacer:
     """Absolute-deadline scheduler for a fixed-rate loop.
 
-    The pacing rule: ticks fall on the grid ``start + k * period``, the
-    first at ``start``. The next tick is the one whose grid point is
-    nearest to when the loop waits for it, and at least the one after the
-    last; the ticks between are skipped. A tick fires at its grid point,
-    but no sooner than half a period after the previous tick. So a loop
-    that falls behind loses ticks, a sleep that wakes late costs none, and
-    ticks never bunch.
-
-    :meth:`wait` sleeps with this module's ``time.sleep``; given a ``stop``
-    ``threading.Event`` (as :meth:`Session.run_fixed_rate` passes), it
-    waits on that instead, so setting the stop ends the wait.
+    Ticks fall on the grid ``start + k * period``, the first at ``start``.
+    The next tick is the one whose grid point is nearest to when the loop
+    waits for it, and at least the one after the last; the ticks between
+    are skipped. A tick fires at its grid point, but no sooner than half a
+    period after the previous tick. So a loop that falls behind loses
+    ticks, a sleep that wakes late costs none, and ticks never bunch.
+    Given a ``stop`` ``threading.Event``, :meth:`wait` ends when it is set.
     """
 
     def __init__(self, period: float, stop=None):
@@ -184,7 +155,6 @@ class Session:
         self.framebuffer = Framebuffer.blank(server_init.width, server_init.height, fmt)
         self.state = SessionState.CONNECTING
         self._buffer = bytearray()
-        self._skip = 0  # bytes of a server cut text still to drop as they arrive
         self._queued = bytearray()  # encoded input events not yet written
         self._key_events: dict[tuple[int, bool], bytes] = {}  # encoded KeyEvent, by (keysym, down)
         region = Rectangle(0, 0, server_init.width, server_init.height)
@@ -227,11 +197,9 @@ class Session:
 
     def _send(self, payload: bytes) -> None:
         """Write the queued input events, then ``payload``, in one sendall.
-
         When this thread serves the server's end, nothing else reads the
-        socket: a queue longer than MAX_PIECE bytes is written in pieces of
-        whole key events, each served before the next, and ``payload`` goes
-        with the last piece."""
+        socket, so a queue longer than MAX_PIECE goes in pieces, each served
+        before the next."""
         queued = self._queued
         while self._server_end is not None and len(queued) > MAX_PIECE:
             piece = bytes(queued[:MAX_PIECE])
@@ -278,48 +246,32 @@ class Session:
         return True
 
     def _decode_buffered(self):
-        """Decode one message from the buffer, or None if it is incomplete.
-
-        A ServerCutText is dropped as its bytes arrive, never buffered
-        whole: the session ignores it, and its text may be up to
-        MAX_CUT_TEXT_LENGTH bytes."""
+        """Decode one message from the buffer, or None if it is incomplete;
+        a ServerCutText is dropped as its bytes arrive."""
         buffer = self._buffer
-        while True:
-            if self._skip:
-                dropped = min(self._skip, len(buffer))
-                del buffer[:dropped]
-                self._skip -= dropped
+        try:
+            while buffer and buffer[0] == MSG_SERVER_CUT_TEXT:
+                drop_cut_text(buffer)  # the session ignores it
             if not buffer:
                 return None
-            try:
-                if buffer[0] == MSG_SERVER_CUT_TEXT:
-                    self._skip = cut_text_span(buffer)
-                    continue
-                message, consumed = decode_server_message(buffer, self.format, self._screen)
-            except IncompleteMessageError:
-                return None
-            except Exception:
-                self.close()
-                raise
-            del buffer[:consumed]
-            return message
+            message, consumed = decode_server_message(buffer, self.format, self._screen)
+        except IncompleteMessageError:
+            return None
+        except Exception:
+            self.close()
+            raise
+        del buffer[:consumed]
+        return message
 
     # -- capture --------------------------------------------------------
 
     def _request(self, incremental: bool, timeout: float) -> bool:
-        """Request an update of the whole screen and apply what arrives.
-
-        Each FramebufferUpdate is applied; Bell and ServerCutText are
-        dropped. Until one update is applied the loop receives for up to
-        ``timeout`` seconds; after that it reads only what has already
-        arrived. A server's end served on this thread has written its
-        whole reply before the request's write returns, and says how many
-        bytes it wrote, so the loop reads exactly those and returns once
-        they are applied. No receive after the first starts once
-        ``timeout`` has passed, so a peer that keeps sending holds the
-        call for about ``timeout`` plus the decoding of one chunk. True
-        once an update is applied.
-        """
+        """Request an update of the whole screen and apply each
+        FramebufferUpdate that arrives; Bell and ServerCutText are dropped.
+        Receives for up to ``timeout`` seconds until one update is applied,
+        then reads only what has already arrived, or, from a server's end
+        this thread serves, exactly the bytes it wrote. True once an update
+        is applied."""
         self._require_ready()
         self._send(self._requests[incremental])
         deadline = time.monotonic() + timeout
@@ -361,15 +313,10 @@ class Session:
         """Capture method 1: invoke ``callback(framebuffer, index)`` at a fixed rate.
 
         ``framebuffer`` is the session's live mirror, valid until the
-        callback returns; copy it, or call ``to_grayscale`` on it, to keep
-        a frame.
-
-        Ticks follow the :class:`Pacer` rule at ``1/fps``: ticks the loop
-        falls behind are skipped, never bunched. Runs until ``duration``
-        elapses or ``stop`` (a threading.Event) is set. A callback exception
-        or lost connection ends the run and is surfaced in the stats. Callbacks run on the
-        caller's thread and should finish within one frame period or ticks
-        will be skipped.
+        callback returns. Ticks follow the :class:`Pacer` rule at ``1/fps``.
+        Runs until ``duration`` elapses or ``stop`` (a threading.Event) is
+        set; a callback exception or lost connection ends the run and is
+        returned in the stats.
         """
         self._require_ready()
         if not (isinstance(fps, (int, float)) and 1.0 <= fps <= 1000.0):
@@ -382,10 +329,9 @@ class Session:
         return self._capture(callback, duration, stop, None)
 
     def _capture(self, callback, duration: float | None, stop, pacer: Pacer | None) -> CaptureStats:
-        """Poll, time the poll and hand the live :attr:`framebuffer`, not
-        a copy, to ``callback`` until ``duration`` ends, ``stop`` is set or
-        a step raises; each frame waits for ``pacer``'s next tick when one
-        is given."""
+        """Poll and hand the live :attr:`framebuffer` to ``callback`` until
+        ``duration`` ends, ``stop`` is set or a step raises; each frame
+        waits for ``pacer``'s next tick when one is given."""
         if duration is not None and duration < 0:
             raise ValueError("duration must be non-negative")
         start = time.monotonic() if pacer is None else pacer.start
@@ -458,9 +404,7 @@ def connect(
 
     On return the session is Ready: the pixel format and raw encoding are
     negotiated and one full framebuffer update has been applied
-    (generation 1). A lockstep server in this process hands the session
-    the server's end of the connection to serve during the handshake.
-    A connection refused, or lost during set-up by a reset too, raises
+    (generation 1). A connection refused or lost during set-up raises
     ConnectionLostError.
     """
     try:

@@ -2,37 +2,20 @@
 pixel probe.
 
 Everything the environment knows arrives through pixels. An observation
-is the (cropped) framebuffer in grayscale, box-filtered to
-``obs_width`` x ``obs_height``; the Env's
-:class:`fbenv.framebuffer.GrayCells`, the framebuffer's one observer,
-keeps it: per step it takes the rows the step's updates wrote, which
-:func:`fbenv.framebuffer.apply_update` records as the framebuffer's
-damage, and converts only those and re-averages only the cell rows they
-fall in (a paddle redraw touches two of the default 16). Episode end is
-detected by probing one framebuffer pixel for the server's solid-red
-terminal screen, and reward accrues per surviving step (default 1/30 so
-a second survived is worth one point at the standard tick rate). The
-probe is resolved when the Env is made: the byte offset of its pixel,
-the struct that reads its word and, per channel, the shift, the mask
-and the range of raw values whose 0..255 rescale is within the
-tolerance; a step then reads one word and compares each channel with
-its range, the same way in every true-colour format.
+is the (cropped) framebuffer in grayscale, box-filtered to ``obs_width``
+x ``obs_height`` by the Env's :class:`fbenv.framebuffer.GrayCells`.
+Episode end is a probe pixel showing the server's solid-red terminal
+screen, and each surviving step earns ``reward_per_step``.
 
-Actions latch: a step that changes action queues key-up for the
-previously held key and key-down for its own, so exactly one directional
-key is ever held. In lockstep mode the queued keys go out in the same
-write as the step's update request, so a step costs one write and one
-server wake; it is exactly one game tick, and trajectories are
-independent of wall-clock speed: a step waits up to
+Actions latch: a step that changes action queues key-up for the held key
+and key-down for its own, so one directional key is held at a time. In
+lockstep mode a step's keys share one write with its update request and
+a step is exactly one game tick: it waits up to
 ``DEFAULT_CONNECT_TIMEOUT`` for its update and raises
-:class:`~fbenv.errors.ConnectionLostError` if none comes, rather than
-reuse the cached frame. In timed mode the keys are written before the
-step waits for its tick, so every server tick after they arrive acts
-on them, and steps are paced to the configured tick rate by
-:class:`fbenv.client.Pacer`, whose grid restarts at each reset; a timed
-step whose poll applies no update reuses the frame before and is
-counted in :attr:`Env.stale_steps`. A reset writes its key-up, its
-reset key tap and its refresh request at once.
+:class:`~fbenv.errors.ConnectionLostError` rather than reuse the cached
+frame. In timed mode steps are paced by :class:`fbenv.client.Pacer`,
+and a step whose poll applied no update is counted in
+:attr:`Env.stale_steps`.
 """
 
 from __future__ import annotations

@@ -1,19 +1,11 @@
 """Client-side framebuffer model and the grayscale observation pipeline.
 
-The framebuffer mirrors the server screen byte-for-byte in the negotiated
-pixel format. :func:`apply_update` writes each FramebufferUpdate into it
-and records the rows it wrote as the framebuffer's ``damage``.
-Observations are derived from it: true-color pixels are reduced to 8-bit
-luminance and box-filtered down to a small grid. :func:`to_grayscale`
-and :func:`downsample` do this for a whole frame, in integer arithmetic;
-they are also the reference the tests hold :class:`GrayCells` to.
-:class:`GrayCells` gives the same values while converting only the
-damaged rows, which it takes from the framebuffer at each look, and
-re-averaging only the cell rows they fall in, with float arithmetic
-whose every result is exact (the argument is in its docstring). A
-framebuffer has one such observer, since taking the damage clears it,
-and a writer that bypasses :func:`apply_update` widens ``damage`` over
-the rows it wrote itself.
+The framebuffer mirrors the server screen byte for byte in the negotiated
+pixel format; :func:`apply_update` writes each FramebufferUpdate into it
+and records the rows it wrote as its ``damage``. :func:`to_grayscale`
+(BT.601 luma) and :func:`downsample` (box filter) reduce a whole frame in
+integer arithmetic and are the reference for :class:`GrayCells`, which
+gives the same values while converting only the damaged rows.
 
 Rounding is half-up everywhere (x -> floor(x + 0.5)) so every value here
 can be reproduced exactly by an integer-arithmetic oracle.
@@ -65,12 +57,10 @@ class GrayFrame:
 class Framebuffer:
     """Mutable pixel mirror of the server screen.
 
-    ``generation`` counts applied FramebufferUpdate messages; it is bumped
-    once per message by :func:`apply_update`, never by single rectangles.
-    ``damage`` is the span of rows ``(top, bottom)`` written since its
-    observer last took it, or None: :func:`apply_update` widens it over
-    each non-empty rectangle, and any other writer of ``pixels`` must
-    widen it over the rows it wrote.
+    ``generation`` counts applied FramebufferUpdate messages. ``damage``
+    is the span of rows ``(top, bottom)`` written since its observer last
+    took it, or None; any writer of ``pixels`` other than
+    :func:`apply_update` must widen it over the rows it wrote.
     """
 
     width: int
@@ -114,12 +104,8 @@ def word_dtype(fmt: PixelFormat) -> np.dtype:
 
 def apply_update(fb: Framebuffer, update: FramebufferUpdate) -> Framebuffer:
     """Apply one FramebufferUpdate message, widen the damage over the
-    rows of each non-empty rectangle and bump the generation.
-
-    All rectangles are validated up front, against the framebuffer's
-    bounds and their payload's length, so a malformed message leaves
-    the pixels, the damage and the generation untouched.
-    """
+    rows of each non-empty rectangle and bump the generation. A malformed
+    message raises UpdateRejectedError and leaves all three untouched."""
     bpp = fb.format.bytes_per_pixel
     for (x, y, width, height), payload in update.rectangles:
         if x < 0 or y < 0 or x + width > fb.width or y + height > fb.height:
@@ -159,12 +145,9 @@ def _byte_channel_layout(fmt: PixelFormat) -> tuple[int, int, int] | None:
 
 def _luma(fb: Framebuffer, window=np.s_[:, :]) -> np.ndarray:
     """8-bit luminance of the ``window`` (a row and a column slice) of a
-    true-color framebuffer's pixels, one uint8 per pixel.
-
-    gray = floor(0.299 R + 0.587 G + 0.114 B + 0.5) with each channel
-    first rescaled to 0..255 via its color-max. Evaluated in exact
-    integer arithmetic, so the result is free of float rounding.
-    """
+    true-color framebuffer's pixels: floor(0.299 R + 0.587 G + 0.114 B +
+    0.5), each channel first rescaled to 0..255, in exact integer
+    arithmetic."""
     fmt = fb.format
     if not fmt.true_color:
         raise UnsupportedFormatError("palette formats cannot be converted to grayscale")
@@ -215,11 +198,8 @@ def pixel_rgb(fb: Framebuffer, x: int, y: int) -> tuple[int, int, int]:
 
 
 def pack_rgb(rgb: np.ndarray, fmt: PixelFormat) -> bytes:
-    """Pack an (height, width, 3) uint8 RGB array into ``fmt`` pixel bytes.
-
-    Channels are rescaled from 0..255 to the format's color-max values
-    with half-up rounding, then shifted into place.
-    """
+    """Pack an (height, width, 3) uint8 RGB array into ``fmt`` pixel
+    bytes, rescaling each channel to its color-max (half-up)."""
     if not fmt.true_color:
         raise UnsupportedFormatError("cannot pack RGB into a palette format")
     channels = rgb.astype(np.uint64)
@@ -250,12 +230,9 @@ def _cell_grid(width: int, height: int, out_width: int, out_height: int) -> tupl
 
 
 def downsample(frame: GrayFrame, out_width: int, out_height: int) -> GrayFrame:
-    """Box-filter mean over each source cell, rounded half-up.
-
-    Output cell (i, j) averages source rows [floor(i*H/out_h),
-    floor((i+1)*H/out_h)) and the matching column range. The mean is
-    computed in exact integer arithmetic.
-    """
+    """Box-filter mean over each source cell, rounded half-up, in exact
+    integer arithmetic. Output cell (i, j) averages source rows
+    [floor(i*H/out_h), floor((i+1)*H/out_h)) and the matching columns."""
     row_edges, col_edges, counts = _cell_grid(frame.width, frame.height, out_width, out_height)
     sums = np.add.reduceat(frame.values, col_edges[:-1], axis=1, dtype=np.int64)
     sums = np.add.reduceat(sums, row_edges[:-1], axis=0)
@@ -269,15 +246,11 @@ class GrayCells:
     :meth:`observe` returns exactly what :func:`downsample` gives to
     ``out_width`` x ``out_height`` for the region of ``to_grayscale(fb)``,
     provided every write to ``fb.pixels`` since the call before widened
-    ``fb.damage`` over its rows, as :func:`apply_update` does. Each call
-    takes the damage, leaving None, so a framebuffer has one observer
-    (an :class:`~fbenv.env.Env` owns its session's). Only the damaged
-    rows within the region are converted to luma and summed over each
-    cell's columns, a product with a ``width x out_width`` 0/1 summing
-    matrix; those row sums are kept, and only the cell rows the damaged
-    rows fall in are summed again from them, a product with an
-    ``out_height x height`` one. Building one takes any pending damage
-    and converts the whole region.
+    ``fb.damage`` over its rows. Each call takes the damage, leaving None,
+    so a framebuffer has one observer. Only the damaged rows are converted
+    and summed over each cell's columns, and only the cell rows they fall
+    in are summed again from the kept row sums. Building one takes any
+    pending damage and converts the whole region.
 
     Exactness of the float arithmetic:
 

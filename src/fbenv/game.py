@@ -14,12 +14,8 @@ while a bang-bang policy toward the center survives indefinitely.
 Rendering is pure and byte-deterministic: black background, white
 paddle bar with tilt shown as end offsets, a white 8x8 ball, and a
 solid red screen once the state is terminal (the terminal probe
-target). One routine, :func:`draw`, does all drawing: :func:`render`
-runs it on a fresh blank framebuffer, and the server runs it in place on
-the frame its client holds each time it sends an update, clearing only
-the shown state's :func:`drawn_rows`, so an update allocates no frame.
-Each episode draws its starting perturbation from a per-episode seed;
-see :func:`episode_seed`.
+target). :func:`draw` does all drawing, in place over a previous render.
+Each episode draws its starting perturbation from :func:`episode_seed`.
 """
 
 from __future__ import annotations
@@ -108,13 +104,10 @@ def render(state: GameState, fmt: PixelFormat = RGBX32) -> Framebuffer:
 
 def draw(words: np.ndarray, state: GameState, fmt: PixelFormat, previous: GameState | None = None) -> None:
     """Draw ``state`` in place into ``words``, a (height, width) array of
-    ``fmt`` words (see :meth:`Framebuffer.as_words`) that holds
-    ``render(previous, fmt)``, or all background when ``previous`` is None.
-
-    Only ``drawn_rows(previous)`` are set back to background first, so
-    ``words`` ends equal to ``render(state, fmt)``. Black packs to 0 in
-    every true-color format, so the background is the zero word.
-    """
+    ``fmt`` words that holds ``render(previous, fmt)``, or all background
+    when ``previous`` is None, so that it ends equal to ``render(state,
+    fmt)``. Black packs to 0 in every true-color format, so the background
+    is the zero word."""
     if previous is not None:
         top, bottom = drawn_rows(previous)
         words[top:bottom] = 0
@@ -155,11 +148,8 @@ def _colour_words(fmt: PixelFormat) -> tuple[np.generic, np.generic]:
 
 
 def score(state: GameState, tick_rate: float | None = None) -> int:
-    """Points earned so far: one per second survived.
-
-    ``tick_rate`` converts ticks to seconds in timed mode; pass None in
-    lockstep mode, where ticks themselves are the score unit.
-    """
+    """Points earned so far: one per second survived at ``tick_rate``, or
+    one per tick when it is None (lockstep mode)."""
     if tick_rate is None:
         return state.ticks_survived
     return int(state.ticks_survived // tick_rate)

@@ -2,19 +2,10 @@
 or step.
 
 :func:`record` turns an annotated class into a tuple subclass made by
-:func:`collections.namedtuple`, so building one is a single tuple
-construction where a frozen dataclass sets each field in turn. A record
-keeps what a frozen dataclass promised:
-
-- it is immutable: its fields are read-only and it takes no new attribute;
-- it equals only a record of its own type with equal fields, never a
-  record of another type or a plain tuple, and its hash agrees;
-- it is never falsy, even with no fields.
-
-It is still a tuple, so it also unpacks, indexes and has a length.
-On CPython 3.11 building a Rectangle takes 0.24 µs against a frozen
-dataclass's 0.52, but reading a field 15 ns against 7: records suit
-values built once and read a few times, as messages and states are.
+:func:`collections.namedtuple`, built by a single tuple construction. A
+record is immutable, equals only a record of its own type with equal
+fields (never a plain tuple), hashes to match and is never falsy. It
+still unpacks, indexes and has a length.
 """
 
 from __future__ import annotations

@@ -1,72 +1,24 @@
 """In-repo RFB 3.8 server hosting the paddle-balance game.
 
-The server answers every framebuffer update request immediately: changed
-regions as one raw rectangle, or an empty update when nothing changed,
-so clients can poll at snapshot rate. Held arrow keys steer the paddle
-(LEFT -> tilt -1, RIGHT -> +1), and a space press starts a fresh episode
-from any state. Both clocks run the ticks due, under the lock, on the
-thread handling a message: in lockstep mode each incremental update
-request is due one tick (non-incremental requests never tick; they just
-resync); a timed server, which has no thread of its own, is due tick k
-at k / tick_rate seconds after ``start()`` and runs the ticks due before
-a key event, before an update and in :meth:`game_state` and
-:attr:`episode`, so a key sent between ticks k and k + 1 acts from
-tick k + 1. One that falls behind catches up rather than skipping ticks,
-but at most MAX_CATCH_UP seconds of ticks at once, skipping older ones.
+Every framebuffer update request is answered at once: a full request with
+the whole frame, an incremental one with the bounding box of what changed
+since the last update, or an empty update. Held arrow keys steer the
+paddle, and a space press starts a fresh episode. In lockstep mode each
+incremental request runs one tick. A timed server runs tick k at
+k / tick_rate seconds after ``start()``, on demand: the ticks due run
+before each key event and update and in :meth:`MockServer.game_state` and
+:attr:`MockServer.episode`, at most MAX_CATCH_UP seconds of them at once.
 
-The server holds one frame, the one its client holds: a
-``(height, width)`` array of one word per pixel in the negotiated format
-(:func:`fbenv.framebuffer.word_dtype`), so a region's ``tobytes()`` is
-the raw rectangle payload as RFC 6143 sends it. ``_shown`` records the
-game state whose render the frame holds (None for an all-background
-frame, as a new client or a SetPixelFormat starts from). Ticks and
-resets only step the game; nothing is drawn until an update is sent.
-An update draws the current state over the shown one in place with
-:func:`fbenv.game.draw`, which clears only the shown state's drawn rows.
-A full update sends the whole frame; an incremental one sends the
-bounding box of the words the draw changed, comparing only the rows
-:func:`fbenv.game.drawn_rows` gives for the two states, since every
-other row is background before and after, so it is empty while the
-shown state is the current one.
-
-A diagnostic side channel on a second TCP port answers the line "HASH"
-with the FNV-1a hash of the framebuffer as of the last update sent plus
-the update count, letting tests verify client/server pixel fidelity
-without touching the RFB stream; a line over MAX_SIDE_CHANNEL_LINE
-bytes drops that client. Up to MAX_SIDE_CHANNEL_CLIENTS side-channel
-clients are served at once, each on its own thread, so an idle one
-blocks no other; one more is closed at once. One RFB client is served
-at a time; a protocol violation drops that client and the server keeps
-listening.
-:attr:`MockServer.drops` counts the connections dropped on an error and
-keeps the last one's reason.
-
-The connection protocol after the handshake is one routine,
-:meth:`MockServer._replies`: it turns received bytes into the replies to
-send and never blocks. Two callers feed it. A client in another
-process, a raw socket or a client of a timed server is served by a
-``recv`` loop on the connection's thread. A client that
-:func:`fbenv.client.connect` opened in this process to a lockstep server
-enters its connection in ``fbenv.client._IN_PROCESS_CLIENTS`` before the
-handshake; the handshake takes the entry and hands the client the
-server's end (:class:`_ServerEnd`), which the client's own thread serves
-after each of its writes, so a lockstep step hands no work to another
-thread. The connection's thread then parks until the socket hangs up:
-the client closes it (or is collected), a drop or ``stop()`` shuts it
-down. Every byte still crosses the socket either way; the client writes
-a burst of queued input longer than the socket takes in pieces, serving
-this end after each.
-
-Sockets block, and :meth:`MockServer.stop` wakes them: it shuts down both
-listeners and every open connection, which makes a blocked ``accept()``
-raise, a blocked ``recv()`` return ``b""`` and a parked connection thread
-see the hang-up, so every thread sees the stop at once. It also sets the
-stop flag, after which no tick runs, so a stopped server's game stays
-frozen; ``stop()`` may be called again. The only timeouts bound a
-stalled peer: a handshake that stalls for STALL_TIMEOUT seconds, or a
-send that does, drops the client; on the client's thread, a reply the
-kernel will not take at once drops it. A connected client that sends
-nothing is kept.
+One RFB client is served at a time. After the handshake,
+:meth:`MockServer._replies` turns received bytes into replies without
+blocking. A ``recv`` loop on the connection's thread feeds it, or, for a
+client that :func:`fbenv.client.connect` opened in this process to a
+lockstep server, that client's own thread through :class:`_ServerEnd`.
+A side channel on a second port answers "HASH" with the FNV-1a hash of
+the frame last sent and the update count. A protocol violation or a peer
+stalled for STALL_TIMEOUT drops that client, counted in
+:attr:`MockServer.drops`. :meth:`MockServer.stop` shuts every socket
+down, which wakes every thread, and no tick runs after it.
 """
 
 from __future__ import annotations
@@ -88,6 +40,7 @@ from .framebuffer import word_dtype
 from .keys import KEY_LEFT, KEY_RIGHT, KEY_SPACE
 from .wire import (
     ENCODING_RAW,
+    MSG_CLIENT_CUT_TEXT,
     PROTOCOL_VERSION,
     RGBX32,
     FramebufferUpdateRequest,
@@ -97,6 +50,7 @@ from .wire import (
     SetEncodings,
     SetPixelFormat,
     decode_client_message,
+    drop_cut_text,
     encode_framebuffer_update,
     read_exact,
 )
@@ -217,8 +171,7 @@ class MockServer:
         self._threads.append(thread)
 
     def _serve_rfb_port(self) -> None:
-        """Serve one RFB client at a time until stop() shuts the listener
-        down."""
+        """Serve one RFB client at a time until stop()."""
         while True:
             try:
                 conn, _ = self._listener.accept()
@@ -227,9 +180,8 @@ class MockServer:
             self._serve_connection(conn, self._serve_client)
 
     def _serve_side_port(self) -> None:
-        """Serve each side-channel connection on its own thread, so an idle
-        one holds up no other. One beyond MAX_SIDE_CHANNEL_CLIENTS is
-        closed at once and counted in :attr:`drops`."""
+        """Serve each side-channel connection on its own thread; one beyond
+        MAX_SIDE_CHANNEL_CLIENTS is closed at once and counted in drops."""
         while True:
             try:
                 conn, _ = self._side_listener.accept()
@@ -351,11 +303,9 @@ class MockServer:
                 conn.sendall(reply)
 
     def _handshake(self, conn: socket.socket) -> _ServerEnd | None:
-        """Run the server side of the 3.8 handshake and start the client
-        on a fresh frame; a refusal sends its reason, then raises
-        ProtocolError to drop the client. Returns the :class:`_ServerEnd`
-        handed to a client that entered its connection in
-        ``_IN_PROCESS_CLIENTS`` before the handshake."""
+        """Run the server side of the 3.8 handshake and start the client on
+        a fresh frame; a refusal raises ProtocolError. Returns the end handed
+        to a client that entered its connection in ``_IN_PROCESS_CLIENTS``."""
         conn.sendall(PROTOCOL_VERSION)
         client_version = read_exact(conn, 12)
         if client_version != PROTOCOL_VERSION:
@@ -393,11 +343,14 @@ class MockServer:
 
     def _replies(self, buffer: bytearray, chunk: bytes):
         """Append ``chunk`` to ``buffer`` and apply each complete client
-        message in it, yielding the bytes each one answers with; the rest
-        of a message still in flight stays in ``buffer``. Never blocks."""
+        message in it, yielding each reply; the rest stays in ``buffer``.
+        Never blocks."""
         buffer.extend(chunk)
         while buffer:
             try:
+                if buffer[0] == MSG_CLIENT_CUT_TEXT:
+                    drop_cut_text(buffer)  # the game has no clipboard
+                    continue
                 message, consumed = decode_client_message(buffer)
             except IncompleteMessageError:
                 return  # the rest of the message is still in flight
@@ -408,9 +361,8 @@ class MockServer:
 
     def _dispatch(self, message) -> bytes | None:
         """Apply one client message and return its reply, if it has one;
-        one the server will not serve raises ProtocolError, which drops the
-        client. A PointerEvent or a ClientCutText is accepted and ignored:
-        the game has no pointer controls and no clipboard."""
+        one the server will not serve raises ProtocolError. A PointerEvent
+        is ignored: the game has no pointer controls."""
         if isinstance(message, FramebufferUpdateRequest):
             return self._update_payload(message.incremental)
         if isinstance(message, KeyEvent):
@@ -423,8 +375,7 @@ class MockServer:
 
     def _on_key(self, event: KeyEvent) -> None:
         with self._lock:
-            if not self.config.lockstep:
-                self._catch_up()
+            self._catch_up()
             if event.keysym in (KEY_LEFT, KEY_RIGHT):
                 if event.down:
                     self._held.add(event.keysym)
@@ -441,9 +392,8 @@ class MockServer:
 
     def _update_payload(self, incremental: bool) -> bytes:
         with self._lock:
-            if not self.config.lockstep:
-                self._catch_up()
-            elif incremental:
+            self._catch_up()
+            if incremental and self.config.lockstep:
                 self._advance_tick()
             rectangles = self._draw_game()
             if not incremental:
@@ -454,8 +404,8 @@ class MockServer:
 
     def _draw_game(self) -> list[tuple[Rectangle, bytes]]:
         """Draw the current state over the shown one and return the
-        bounding box of the words that changed. Only the rows spanning the
-        drawn rows of the two states can change."""
+        bounding box of the words that changed, found within the drawn rows
+        of the two states, outside which both renders are background."""
         if self._shown is self._game:
             return []
         top, bottom = game.drawn_rows(self._game)
@@ -492,13 +442,8 @@ class MockServer:
 
 
 class _ServerEnd:
-    """The server's end of a connection from a client in this process.
-
-    The connection's thread runs the handshake and hands this end to the
-    client, which calls :meth:`serve` on its own thread after each write.
-    The connection's thread parks until :attr:`conn` hangs up, then sets
-    it to None and closes it.
-    """
+    """The server's end of a connection from a client in this process,
+    which calls :meth:`serve` on its own thread after each write."""
 
     def __init__(self, server: MockServer, conn: socket.socket):
         self.conn: socket.socket | None = conn  # None once conn hangs up or the client is dropped
@@ -507,16 +452,10 @@ class _ServerEnd:
         self._buffer = bytearray()
 
     def serve(self, written: int) -> float:
-        """Answer the ``written`` bytes the client has just sent, and return
-        how many bytes of replies the client has to read: all of them are
-        sent before this returns, or inf once conn is shut down, so the
-        client reads on to the end of the stream.
-
-        A ``recv`` finds them at once on loopback; if they are still in
-        flight it waits for them, for up to STALL_TIMEOUT. Replies go out
-        without blocking: one the kernel will not take in full means the
-        client stopped reading, and drops it, like any other error here.
-        """
+        """Answer the ``written`` bytes the client has just sent and return
+        how many bytes of replies it has to read, all sent before this
+        returns, or inf once conn is shut down. A reply the kernel will not
+        take at once means the client stopped reading, and drops it."""
         sent = 0
         with self.guard:
             if self.conn is None:

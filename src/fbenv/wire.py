@@ -2,23 +2,13 @@
 
 Covers the 3.8 handshake with security type None, the six standard
 client-to-server messages (ClientCutText is decoded only: the client
-never sends one), and server-to-client messages limited to raw
-(encoding 0) framebuffer updates, Bell and ServerCutText. All multi-byte
-integers are big-endian on the wire.
-
-Each fixed layout is one module-level :class:`struct.Struct` that its
-encoder and its decoder share; encoding a field outside its wire integer
-range raises ValueError.
-
-Messages, and the Rectangle they carry, are :mod:`fbenv.record` records:
-immutable tuples, equal only to a message of their own type with equal
-fields, each built once per message by a single tuple construction.
-A decoded rectangle's payload is copied out of the buffer once.
-
-Decoders are pure functions over byte buffers and return the number of
-bytes consumed, so callers own the socket buffering. A buffer that ends
-mid-message raises :class:`IncompleteMessageError`, which is retryable
-once more bytes have arrived.
+never sends one), and server-to-client raw (encoding 0) framebuffer
+updates, Bell and ServerCutText; integers are big-endian. Each fixed
+layout is one :class:`struct.Struct` its encoder and decoder share, and
+messages are :mod:`fbenv.record` records. Decoders are pure functions
+over byte buffers that return the bytes consumed; a buffer that ends
+mid-message raises :class:`IncompleteMessageError`, retryable once more
+bytes have arrived.
 """
 
 from __future__ import annotations
@@ -279,11 +269,8 @@ def _need(data, count: int) -> None:
 
 
 def decode_client_message(data) -> tuple[ClientMessage, int]:
-    """Parse one client message from the front of ``data``.
-
-    Returns the message and the number of bytes consumed. Used by the
-    in-repo server and as the decode half of round-trip checks.
-    """
+    """Parse one client message from the front of ``data``; returns the
+    message and the number of bytes consumed."""
     _need(data, 1)
     msg_type = data[0]
     if msg_type == MSG_SET_PIXEL_FORMAT:
@@ -319,6 +306,20 @@ def cut_text_span(data) -> int:
     return _CUT_TEXT_HEAD.size + length
 
 
+def drop_cut_text(buffer: bytearray) -> None:
+    """Delete the cut-text message at the front of ``buffer`` as far as it
+    has arrived, so its text is never held whole. Until all of it has,
+    the header is rewritten to declare only the text still to come and
+    IncompleteMessageError is raised, as a decoder raises it."""
+    end = cut_text_span(buffer)
+    rest = end - len(buffer)
+    if rest > 0:
+        _CUT_TEXT_HEAD.pack_into(buffer, 0, buffer[0], rest)
+        del buffer[_CUT_TEXT_HEAD.size :]
+        raise IncompleteMessageError(f"{rest} bytes of cut text still to drop")
+    del buffer[:end]
+
+
 def _decode_cut_text(data) -> tuple[str, int]:
     """The Latin-1 text of a cut-text message and the bytes it spans."""
     end = cut_text_span(data)
@@ -327,11 +328,8 @@ def _decode_cut_text(data) -> tuple[str, int]:
 
 
 def encode_framebuffer_update(rectangles) -> bytes:
-    """Serialize a FramebufferUpdate carrying raw-encoded rectangles.
-
-    ``rectangles`` is a sequence of (Rectangle, pixel-bytes) pairs; the
-    payload length must already match width * height * bytes-per-pixel.
-    """
+    """Serialize a FramebufferUpdate from (Rectangle, pixel-bytes) pairs
+    whose payloads already match width * height * bytes-per-pixel."""
     parts = [_COUNTED_HEAD.pack(MSG_FRAMEBUFFER_UPDATE, len(rectangles))]
     for (x, y, width, height), payload in rectangles:
         parts.append(_RECTANGLE_HEAD.pack(x, y, width, height, ENCODING_RAW))
@@ -340,14 +338,11 @@ def encode_framebuffer_update(rectangles) -> bytes:
 
 
 def decode_server_message(data, fmt: PixelFormat, screen: tuple[int, int]) -> tuple[ServerMessage, int]:
-    """Parse one server message from the front of ``data``.
-
-    ``fmt`` sizes raw rectangle payloads; ``screen`` is the announced
-    (width, height) used to bounds-check rectangles. Returns the message
-    and the bytes consumed. Never reads past a rectangle's declared
-    pixel-byte length, and never waits for an update's pixels past
-    ``MAX_UPDATE_SCREENS`` screens.
-    """
+    """Parse one server message from the front of ``data``; returns the
+    message and the bytes consumed. ``fmt`` sizes raw rectangle payloads
+    and ``screen``, the announced (width, height), bounds rectangles; an
+    update declaring over ``MAX_UPDATE_SCREENS`` screens of pixels raises
+    ProtocolError before they are awaited."""
     _need(data, 1)
     msg_type = data[0]
     if msg_type == MSG_FRAMEBUFFER_UPDATE:
@@ -404,13 +399,10 @@ def read_exact(sock, count: int) -> bytes:
 
 
 def perform_handshake(sock) -> ServerInit:
-    """Run the client side of the RFB 3.8 handshake over ``sock``.
-
-    Negotiates protocol 3.8 with security type None and shared access,
-    then returns the parsed ServerInit. ``sock`` needs ``recv`` and
-    ``sendall``; socket timeouts propagate to the caller. A screen over
-    ``MAX_SCREEN_PIXELS`` or a declared text over ``MAX_CUT_TEXT_LENGTH``
-    raises :class:`ProtocolError` before any of its bytes are read.
+    """Run the client side of the RFB 3.8 handshake over ``sock`` (security
+    None, shared access) and return the parsed ServerInit. A screen over
+    ``MAX_SCREEN_PIXELS`` or a text over ``MAX_CUT_TEXT_LENGTH`` raises
+    :class:`ProtocolError` before any of its bytes are read.
     """
     greeting = read_exact(sock, 12)
     match = _VERSION_RE.match(greeting)

@@ -443,6 +443,28 @@ def test_one_catch_up_runs_at_most_one_second_of_ticks(server_factory, monkeypat
     assert len(ticks) < 10
 
 
+def test_a_lockstep_server_never_ticks_on_the_clock(server_factory, monkeypatch):
+    """With the clock an hour ahead, a lockstep server's key events, full
+    refresh, game_state() and episode run no tick, and each incremental
+    request runs exactly one."""
+    server = server_factory(lockstep=True, seed=11)
+    ticks = []
+    advance = server._advance_tick
+    monkeypatch.setattr(server, "_advance_tick", lambda: (ticks.append(1), advance()))
+    real = time.monotonic
+    monkeypatch.setattr(fbenv.server, "time", types.SimpleNamespace(monotonic=lambda: real() + 3600.0))
+    with connect("127.0.0.1", server.port) as session:
+        session.send_key(KEY_LEFT, True)
+        session.send_key(KEY_LEFT, False)
+        session.refresh()
+        server.game_state()
+        assert server.episode == 0
+        assert ticks == []
+        for expected in range(1, 4):
+            assert session.poll(DEFAULT_CONNECT_TIMEOUT)
+            assert len(ticks) == expected
+
+
 # -- an in-process lockstep client serves the server's end ------------------
 
 

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fbenv.errors
-from fbenv.client import connect
+from fbenv.client import MAX_PIECE, connect
 from fbenv.errors import FbenvError, IncompleteMessageError
 from fbenv.keys import KEY_LEFT, KEY_RIGHT, KEY_SPACE
 from fbenv.wire import (
@@ -173,6 +173,46 @@ def test_client_drops_a_longest_server_cut_text_without_holding_it():
             server.join(timeout=5.0)
     assert not server.is_alive()
     assert peak < CLIENT_PEAK_BOUND
+
+
+@pytest.mark.parametrize("in_process", [False, True], ids=["recv_loop", "in_process_session"])
+def test_server_drops_a_longest_client_cut_text_without_holding_it(server_factory, in_process):
+    """Either driver of the server's end drops a ClientCutText of the
+    longest length as it arrives, then serves the update request after it."""
+    server = server_factory(lockstep=True, seed=11)
+    cut_text = struct.pack(">B3xI", 6, MAX_CUT_TEXT_LENGTH) + b"a" * MAX_CUT_TEXT_LENGTH
+    request = struct.pack(">BBHHHH", 3, 0, 0, 0, SCREEN, SCREEN)  # a full update request
+    update_length = 4 + 12 + SCREEN * SCREEN * 4
+    if in_process:
+        session = connect("127.0.0.1", server.port)
+        view = memoryview(cut_text)
+        pieces = [view[start : start + MAX_PIECE] for start in range(0, len(cut_text), MAX_PIECE)]
+    else:
+        sock = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
+        perform_handshake(sock)
+        payload = cut_text + request
+    tracemalloc.start()
+    try:
+        if in_process:
+            with session:
+                for piece in pieces:  # each piece is served before the next is written
+                    session._write(piece)
+                session.refresh(5.0)
+                assert session.frame_counter == 2
+        else:
+            with sock:
+                sock.sendall(payload)
+                received = 0
+                while received < update_length:
+                    chunk = sock.recv(65536)
+                    assert chunk, "server dropped a client that sent a ClientCutText"
+                    received += len(chunk)
+                assert received == update_length
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < SERVER_PEAK_BOUND
+    assert server.drops == (0, None)
 
 
 # -- fuzzed clients against MockServer --------------------------------------

@@ -33,6 +33,7 @@ from fbenv.wire import (
     SetPixelFormat,
     decode_client_message,
     decode_server_message,
+    drop_cut_text,
     encode_client_message,
     encode_framebuffer_update,
     perform_handshake,
@@ -367,6 +368,23 @@ def test_decode_cut_text():
     message, consumed = decode_client_message(encode_client_cut_text("héllo") + b"\x04")
     assert message == ClientCutText("héllo")
     assert consumed == 13
+
+
+def test_drop_cut_text_deletes_a_text_as_it_arrives():
+    message = encode_client_cut_text("copied text") + b"\x04"
+    buffer = bytearray(message[:5])
+    with pytest.raises(IncompleteMessageError):  # the header is split
+        drop_cut_text(buffer)
+    assert buffer == message[:5]
+    buffer += message[5:12]  # the header and 4 of the 11 text bytes
+    with pytest.raises(IncompleteMessageError):
+        drop_cut_text(buffer)
+    assert buffer == struct.pack(">B3xI", 6, 7)  # declares only the text still to come
+    buffer += message[12:]
+    drop_cut_text(buffer)
+    assert buffer == b"\x04"  # the next message stays
+    with pytest.raises(ProtocolError):
+        drop_cut_text(bytearray(struct.pack(">B3xI", 3, MAX_CUT_TEXT_LENGTH + 1)))
 
 
 def test_decode_rejects_cut_text_over_the_cap_before_its_bytes():
