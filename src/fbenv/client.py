@@ -7,8 +7,8 @@ deadline has passed, so a peer that floods the session holds a call for
 about its timeout. :func:`connect` enters its connection in
 ``_IN_PROCESS_CLIENTS`` during the handshake, so that a lockstep
 :class:`~fbenv.server.MockServer` in this process can hand the session
-the server's end of the connection, which the session serves on its own
-thread after each write.
+its end of the connection: each later write is a call of that end, which
+returns the replies as bytes, and no socket call is made until close.
 
 Capture runs one loop in two styles, fixed-rate (paced by :class:`Pacer`,
 fbenv's only absolute-deadline scheduler) and unrestricted; it converts no
@@ -58,13 +58,9 @@ DEFAULT_CONNECT_TIMEOUT = 5.0
 #: waits DEFAULT_CONNECT_TIMEOUT instead and raises, never reusing a frame.
 POLL_DEADLINE = 0.1
 
-#: Most bytes of queued key events written at once to a server's end that
-#: this thread serves; a multiple of a KeyEvent's 8 bytes, and well under
-#: what a loopback socket takes before anyone reads it.
-MAX_PIECE = 16384
-
 #: Connections :func:`connect` is handshaking, by (client address, server
-#: address); a lockstep server in this process appends its end of one.
+#: address); a lockstep server in this process appends its end of one,
+#: to which the session then hands its writes.
 _IN_PROCESS_CLIENTS: dict[tuple, list] = {}
 
 
@@ -145,10 +141,7 @@ class Session:
         self._sock = sock
         self._readable = select.poll()
         self._readable.register(sock, select.POLLIN)
-        self._server_end = None  # a lockstep server's end in this process, served after each write
-        # bytes the server's end has sent that are not read yet; unknown
-        # (inf) for a server that this thread does not serve
-        self._unread = math.inf
+        self._server_end = None  # a lockstep server's end in this process, which each write calls
         self.server_init = server_init
         self.format = fmt
         self._screen = (server_init.width, server_init.height)
@@ -196,44 +189,36 @@ class Session:
             raise InvalidStateError(f"session is {self.state.value}, not ready")
 
     def _send(self, payload: bytes) -> None:
-        """Write the queued input events, then ``payload``, in one sendall.
-        When this thread serves the server's end, nothing else reads the
-        socket, so a queue longer than MAX_PIECE goes in pieces, each served
-        before the next."""
-        queued = self._queued
-        while self._server_end is not None and len(queued) > MAX_PIECE:
-            piece = bytes(queued[:MAX_PIECE])
-            del queued[:MAX_PIECE]
-            self._write(piece)
-        if queued:
-            payload = bytes(queued) + payload
-            queued.clear()
-        self._write(payload)
-
-    def _write(self, data: bytes) -> None:
-        """One sendall; then serve the server's end, if this thread serves it."""
+        """Write the queued input events, then ``payload``, in one write: a
+        sendall, or a hand-over to the server's end in this process, whose
+        replies go into the buffer whole."""
+        self._queued += payload
+        data, self._queued = self._queued, bytearray()
+        if self._server_end is not None:
+            replies = self._server_end.serve(data)
+            if replies is None:
+                self.close()
+                raise ConnectionLostError("the server ended the connection")
+            self._buffer += replies
+            return
         try:
             self._sock.sendall(data)
         except OSError as exc:
             self.close()
             raise ConnectionLostError(f"send failed: {exc}") from exc
-        if self._server_end is not None:
-            self._unread += self._server_end.serve(len(data))
 
     def _recv_into_buffer(self, deadline: float) -> bool:
         """Pull one chunk off the socket, waiting until ``deadline`` (on
         the ``time.monotonic`` clock) only while nothing has arrived;
         False if nothing did."""
         while True:
-            if self._server_end is None:  # a threaded peer's reply is rarely in yet: wait for it first
-                if not self._readable.poll(max(deadline - time.monotonic(), 0.0) * 1000.0):
-                    return False
+            if not self._readable.poll(max(deadline - time.monotonic(), 0.0) * 1000.0):
+                return False
             try:
                 chunk = self._sock.recv(65536, socket.MSG_DONTWAIT)
                 break
-            except BlockingIOError:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._readable.poll(remaining * 1000.0):
+            except BlockingIOError:  # woken with nothing to read
+                if time.monotonic() >= deadline:
                     return False
             except OSError as exc:
                 self.close()
@@ -241,7 +226,6 @@ class Session:
         if not chunk:
             self.close()
             raise ConnectionLostError("server closed the connection")
-        self._unread -= len(chunk)
         self._buffer.extend(chunk)
         return True
 
@@ -269,9 +253,9 @@ class Session:
         """Request an update of the whole screen and apply each
         FramebufferUpdate that arrives; Bell and ServerCutText are dropped.
         Receives for up to ``timeout`` seconds until one update is applied,
-        then reads only what has already arrived, or, from a server's end
-        this thread serves, exactly the bytes it wrote. True once an update
-        is applied."""
+        then reads only what has already arrived; a server's end in this
+        process has replied in full once the write returns. True once an
+        update is applied."""
         self._require_ready()
         self._send(self._requests[incremental])
         deadline = time.monotonic() + timeout
@@ -279,8 +263,8 @@ class Session:
         while True:
             message = self._decode_buffered()
             if message is None:
-                if applied and not self._unread:
-                    return True  # the whole in-process reply is applied
+                if self._server_end is not None:
+                    return applied  # the whole in-process reply is applied
                 if received and time.monotonic() >= deadline:
                     return applied
                 if not self._recv_into_buffer(0.0 if applied else deadline):
@@ -294,7 +278,7 @@ class Session:
         """Request a full (non-incremental) update and apply it to
         :attr:`framebuffer`; :meth:`snapshot` reads it as gray pixels."""
         if not self._request(False, timeout):
-            raise ConnectionLostError("no framebuffer update within refresh timeout")
+            raise ConnectionLostError(f"no update for the refresh (waited at most {timeout:g} s)")
 
     def poll(self, deadline: float = POLL_DEADLINE) -> bool:
         """Incremental update request; applies whatever the server sends.
@@ -423,7 +407,7 @@ def connect(
             _IN_PROCESS_CLIENTS.pop(key, None)
         session = Session(sock, server_init, requested_format)
         if server_ends:
-            session._server_end, session._unread = server_ends[0], 0
+            session._server_end = server_ends[0]
         session._send(
             encode_client_message(SetPixelFormat(requested_format))
             + encode_client_message(SetEncodings((ENCODING_RAW,)))

@@ -214,7 +214,7 @@ class Env:
             self._held = keysym
         if self.config.lockstep:
             if not self.session.poll(DEFAULT_CONNECT_TIMEOUT):
-                raise ConnectionLostError(f"no lockstep update within {DEFAULT_CONNECT_TIMEOUT:g} s")
+                raise ConnectionLostError(f"no lockstep update (waited at most {DEFAULT_CONNECT_TIMEOUT:g} s)")
         else:
             self.session.flush()
             self._pacer.wait()

@@ -11,14 +11,17 @@ before each key event and update and in :meth:`MockServer.game_state` and
 
 One RFB client is served at a time. After the handshake,
 :meth:`MockServer._replies` turns received bytes into replies without
-blocking. A ``recv`` loop on the connection's thread feeds it, or, for a
-client that :func:`fbenv.client.connect` opened in this process to a
-lockstep server, that client's own thread through :class:`_ServerEnd`.
+blocking. A ``recv`` loop on the connection's thread feeds it, except for
+a client that :func:`fbenv.client.connect` opened in this process to a
+lockstep server: that client hands each write to a :class:`_ServerEnd` on
+its own thread and takes the replies back as bytes, and the connection
+only carries the handshake and the hang-up that frees the server.
 A side channel on a second port answers "HASH" with the FNV-1a hash of
 the frame last sent and the update count. A protocol violation or a peer
 stalled for STALL_TIMEOUT drops that client, counted in
 :attr:`MockServer.drops`. :meth:`MockServer.stop` shuts every socket
-down, which wakes every thread, and no tick runs after it.
+down, which wakes every thread; no tick runs and no message is applied
+after it.
 """
 
 from __future__ import annotations
@@ -284,9 +287,9 @@ class MockServer:
     # -- RFB connection handling -----------------------------------------
 
     def _serve_client(self, conn: socket.socket) -> None:
-        """Handshake, then serve the client with a ``recv`` loop; a client
-        in this process that entered its connection serves this end on its
-        own thread instead, while this thread parks until conn hangs up."""
+        """Handshake, then serve the client with a ``recv`` loop; while a
+        client in this process calls its :class:`_ServerEnd` instead, this
+        thread parks until conn hangs up."""
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn.settimeout(STALL_TIMEOUT)
         end = self._handshake(conn)
@@ -294,8 +297,8 @@ class MockServer:
             hangup = select.poll()  # POLLHUP and POLLERR are always reported
             hangup.register(conn, select.POLLRDHUP)
             hangup.poll()
-            with end.guard:  # the client's thread is done with conn
-                end.conn = None
+            with end.guard:  # the client's thread is out of serve()
+                end.live = False
             return
         buffer = bytearray()
         while chunk := conn.recv(65536):
@@ -320,8 +323,8 @@ class MockServer:
             raise ProtocolError(f"refused security type {chosen}")
         conn.sendall(struct.pack(">I", 0))  # SecurityResult OK
         read_exact(conn, 1)  # ClientInit; shared flag ignored, one client anyway
-        # conn blocks and the end is handed over before ServerInit goes
-        # out: the client may serve conn as soon as its handshake returns
+        # the end is handed over before ServerInit goes out: the client
+        # may write to it as soon as its handshake returns
         conn.settimeout(None)  # an idle client is kept; SO_SNDTIMEO bounds sends
         with self._lock:
             self._start_over(RGBX32)
@@ -330,7 +333,7 @@ class MockServer:
         if self.config.lockstep:
             ends = _IN_PROCESS_CLIENTS.pop((conn.getpeername(), conn.getsockname()), None)
             if ends is not None:
-                end = _ServerEnd(self, conn)
+                end = _ServerEnd(self)
                 ends.append(end)
         name = SERVER_NAME.encode("ascii")
         conn.sendall(
@@ -344,9 +347,9 @@ class MockServer:
     def _replies(self, buffer: bytearray, chunk: bytes):
         """Append ``chunk`` to ``buffer`` and apply each complete client
         message in it, yielding each reply; the rest stays in ``buffer``.
-        Never blocks."""
+        Never blocks, and applies nothing once the server is stopped."""
         buffer.extend(chunk)
-        while buffer:
+        while buffer and not self._stop.is_set():
             try:
                 if buffer[0] == MSG_CLIENT_CUT_TEXT:
                     drop_cut_text(buffer)  # the game has no clipboard
@@ -443,53 +446,28 @@ class MockServer:
 
 class _ServerEnd:
     """The server's end of a connection from a client in this process,
-    which calls :meth:`serve` on its own thread after each write."""
+    which hands each write to :meth:`serve` on its own thread."""
 
-    def __init__(self, server: MockServer, conn: socket.socket):
-        self.conn: socket.socket | None = conn  # None once conn hangs up or the client is dropped
-        self.guard = threading.Lock()  # held while the client's thread uses conn
+    def __init__(self, server: MockServer):
+        self.guard = threading.Lock()  # held while the client's thread is in serve()
+        self.live = True  # False once conn hangs up or the client is dropped, under the guard
         self._server = server
         self._buffer = bytearray()
 
-    def serve(self, written: int) -> float:
-        """Answer the ``written`` bytes the client has just sent and return
-        how many bytes of replies it has to read, all sent before this
-        returns, or inf once conn is shut down. A reply the kernel will not
-        take at once means the client stopped reading, and drops it."""
-        sent = 0
+    def serve(self, data: bytearray) -> bytes | None:
+        """Apply the client's bytes, kept as this end's buffer, and return
+        the replies whole; None after a hang-up, a stop or a drop."""
         with self.guard:
-            if self.conn is None:
-                return math.inf
+            if not self.live:
+                return None
+            self._buffer = self._buffer + data if self._buffer else data  # a burst is kept, not copied
             try:
-                while written > 0:
-                    chunk = self._receive()
-                    if not chunk:  # stop() shut conn down
-                        return math.inf
-                    written -= len(chunk)
-                    for reply in self._server._replies(self._buffer, chunk):
-                        if self.conn.send(reply, socket.MSG_DONTWAIT) < len(reply):
-                            raise BlockingIOError("the client stopped reading")
-                        sent += len(reply)
-            except (OSError, FbenvError, ValueError) as exc:  # drop this client
+                replies = b"".join(self._server._replies(self._buffer, b""))
+            except (FbenvError, ValueError) as exc:  # drop this client; its hang-up frees the server
                 self._server._count_drop(exc)
-                try:
-                    self.conn.shutdown(socket.SHUT_RDWR)  # the client sees the end, the parked thread wakes
-                except OSError:
-                    pass
-                self.conn = None  # what the client sent after the fault is not served
-                return math.inf
-        return sent
-
-    def _receive(self) -> bytes:
-        """One chunk of what the client wrote; b"" once it has closed."""
-        try:
-            return self.conn.recv(65536, socket.MSG_DONTWAIT)
-        except BlockingIOError:  # still in flight
-            self.conn.settimeout(STALL_TIMEOUT)
-            try:
-                return self.conn.recv(65536)
-            finally:
-                self.conn.settimeout(None)
+                self.live = False
+                return None
+        return None if self._server._stop.is_set() else replies
 
 
 def serve(config: ServerConfig | None = None) -> MockServer:

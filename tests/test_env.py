@@ -302,8 +302,8 @@ def test_lockstep_waits_out_a_slow_server(server_factory, monkeypatch):
 
 
 def test_lockstep_step_raises_when_no_update_comes(env_factory, monkeypatch):
-    # an in-process server serves the request on the step's own thread, so
-    # a slow one only delays the update; one that never answers fails it
+    # an in-process server replies in full within the step's write, so a
+    # reply with no update fails the step at once, well within its timeout
     env, _ = env_factory(lockstep=True)
     env.reset()
     original = MockServer._dispatch
@@ -318,7 +318,7 @@ def test_lockstep_step_raises_when_no_update_comes(env_factory, monkeypatch):
     started = time.monotonic()
     with pytest.raises(ConnectionLostError):
         env.step(NOOP_ACTION)
-    assert 0.2 <= time.monotonic() - started < 2.0
+    assert time.monotonic() - started < 0.1
 
 
 def test_lockstep_step_raises_while_the_server_process_is_stopped(monkeypatch):
@@ -350,21 +350,25 @@ def test_action_latching_holds_one_key(env_factory):
     assert server.game_state().tilt == 0
 
 
+def client_messages(payload: bytes) -> list:
+    """The (kind, fields) of each client message in ``payload``."""
+    messages, offset = [], 0
+    while offset < len(payload):
+        kind, fields, consumed = reference_parse_client_message(payload[offset:])
+        messages.append((kind, fields))
+        offset += consumed
+    return messages
+
+
 class RecordingSocket:
-    """Socket proxy that logs each ``sendall`` as the list of (kind,
-    fields) of the client messages it carries."""
+    """Socket proxy that logs the client messages of each ``sendall``."""
 
     def __init__(self, sock, writes: list):
         self._sock = sock
         self._writes = writes
 
     def sendall(self, payload):
-        messages, offset = [], 0
-        while offset < len(payload):
-            kind, fields, consumed = reference_parse_client_message(payload[offset:])
-            messages.append((kind, fields))
-            offset += consumed
-        self._writes.append(messages)
+        self._writes.append(client_messages(payload))
         self._sock.sendall(payload)
 
     def __getattr__(self, name):
@@ -372,8 +376,21 @@ class RecordingSocket:
 
 
 def record_writes(env) -> list:
+    """Log the client messages of each write of the env's session: a
+    sendall, or a call of its in-process server's end."""
     writes = []
-    env.session._sock = RecordingSocket(env.session._sock, writes)
+    session = env.session
+    end = session._server_end
+    if end is None:
+        session._sock = RecordingSocket(session._sock, writes)
+        return writes
+    serve = end.serve
+
+    def recording_serve(payload):
+        writes.append(client_messages(payload))
+        return serve(payload)
+
+    end.serve = recording_serve
     return writes
 
 
@@ -409,6 +426,28 @@ def test_lockstep_step_is_one_write(env_factory):
         assert server.game_state().tilt == {NOOP_ACTION: 0, LEFT_ACTION: -1, RIGHT_ACTION: 1}[action]
         assert not result.terminal
         previous = action
+
+
+class NoIOSocket:
+    """Socket proxy whose sends and receives raise."""
+
+    def __init__(self, sock):
+        self._sock = sock
+
+    def __getattr__(self, name):
+        if name in ("sendall", "send", "recv"):
+            raise AssertionError(f"{name} after the handshake")
+        return getattr(self._sock, name)
+
+
+def test_an_in_process_lockstep_env_makes_no_socket_io_after_the_handshake(env_factory):
+    env, _ = env_factory(server_kwargs={"lockstep": True, "seed": 31}, lockstep=True)
+    env.session._sock = NoIOSocket(env.session._sock)
+    env.reset()
+    actions = itertools.cycle([LEFT_ACTION, RIGHT_ACTION, NOOP_ACTION])
+    for _ in range(100):
+        if env.step(next(actions)).terminal:
+            env.reset()
 
 
 def test_timed_step_writes_its_keys_before_the_tick_wait(env_factory, monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fbenv.errors
-from fbenv.client import MAX_PIECE, connect
+from fbenv.client import connect
 from fbenv.errors import FbenvError, IncompleteMessageError
 from fbenv.keys import KEY_LEFT, KEY_RIGHT, KEY_SPACE
 from fbenv.wire import (
@@ -175,6 +175,11 @@ def test_client_drops_a_longest_server_cut_text_without_holding_it():
     assert peak < CLIENT_PEAK_BOUND
 
 
+#: Bytes of the cut text an in-process session writes at once: far under
+#: SERVER_PEAK_BOUND, so the peak shows that the text is dropped as it arrives
+PIECE = 16384
+
+
 @pytest.mark.parametrize("in_process", [False, True], ids=["recv_loop", "in_process_session"])
 def test_server_drops_a_longest_client_cut_text_without_holding_it(server_factory, in_process):
     """Either driver of the server's end drops a ClientCutText of the
@@ -186,7 +191,7 @@ def test_server_drops_a_longest_client_cut_text_without_holding_it(server_factor
     if in_process:
         session = connect("127.0.0.1", server.port)
         view = memoryview(cut_text)
-        pieces = [view[start : start + MAX_PIECE] for start in range(0, len(cut_text), MAX_PIECE)]
+        pieces = [view[start : start + PIECE] for start in range(0, len(cut_text), PIECE)]
     else:
         sock = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
         perform_handshake(sock)
@@ -196,7 +201,8 @@ def test_server_drops_a_longest_client_cut_text_without_holding_it(server_factor
         if in_process:
             with session:
                 for piece in pieces:  # each piece is served before the next is written
-                    session._write(piece)
+                    session._queued += piece
+                    session.flush()
                 session.refresh(5.0)
                 assert session.frame_counter == 2
         else:
@@ -312,9 +318,9 @@ def test_fuzzed_bytes_through_an_in_process_session_meet_typed_errors_only(serve
     def fuzz(payload):
         dropped_before = server.drops[0]
         with connect("127.0.0.1", server.port, timeout=2.0) as session:
-            session._sock.sendall(payload)
+            session._queued += payload  # goes out ahead of the first poll's request
             try:
-                for _ in range(2):  # each write serves what came before it on this thread
+                for _ in range(2):
                     session.poll(0.05)
             except FbenvError:
                 pass  # a drop, or replies in a pixel format the payload chose
