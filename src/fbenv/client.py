@@ -1,14 +1,14 @@
 """Live RFB client session: connection lifecycle, frame capture, input.
 
 A :class:`Session` owns one TCP connection and is single-owner: every call
-runs on the caller's thread, and writes hit the wire in call order. Each
-update request runs one receive loop; no receive starts once a call's
-deadline has passed, so a peer that floods the session holds a call for
-about its timeout. :func:`connect` enters its connection in
-``_IN_PROCESS_CLIENTS`` during the handshake, so that a lockstep
-:class:`~fbenv.server.MockServer` in this process can hand the session
-its end of the connection: each later write is a call of that end, which
-returns the replies as bytes, and no socket call is made until close.
+runs on the caller's thread, and writes hit the wire in call order. No
+receive starts once a call's deadline has passed, the handshake's
+included, so a peer that drips or floods bytes holds a call for about its
+timeout. :func:`connect` enters its connection in ``_IN_PROCESS_CLIENTS``
+during the handshake, so that a lockstep :class:`~fbenv.server.MockServer`
+in this process can hand the session its end of the connection: each later
+write is a call of that end, which returns the replies as bytes, and no
+socket call is made until close.
 
 Capture runs one loop in two styles, fixed-rate (paced by :class:`Pacer`,
 fbenv's only absolute-deadline scheduler) and unrestricted; it converts no
@@ -368,6 +368,7 @@ class Session:
 
     def flush(self) -> None:
         """Write the queued key events now."""
+        self._require_ready()
         if self._queued:
             self._send(b"")
 
@@ -388,8 +389,8 @@ def connect(
 
     On return the session is Ready: the pixel format and raw encoding are
     negotiated and one full framebuffer update has been applied
-    (generation 1). A connection refused or lost during set-up raises
-    ConnectionLostError.
+    (generation 1). A handshake longer than ``timeout`` raises
+    ConnectTimeoutError; a connection refused or lost, ConnectionLostError.
     """
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
@@ -402,7 +403,7 @@ def connect(
         key = (sock.getsockname(), sock.getpeername())
         server_ends = _IN_PROCESS_CLIENTS[key] = []
         try:
-            server_init = perform_handshake(sock)
+            server_init = perform_handshake(sock, time.monotonic() + timeout)
         finally:
             _IN_PROCESS_CLIENTS.pop(key, None)
         session = Session(sock, server_init, requested_format)

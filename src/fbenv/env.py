@@ -15,7 +15,8 @@ a step is exactly one game tick: it waits up to
 :class:`~fbenv.errors.ConnectionLostError` rather than reuse the cached
 frame. In timed mode steps are paced by :class:`fbenv.client.Pacer`,
 and a step whose poll applied no update is counted in
-:attr:`Env.stale_steps`.
+:attr:`Env.stale_steps`. Config files, one ``key = value`` per line,
+are only read, by :func:`load_env_config`.
 """
 
 from __future__ import annotations
@@ -78,6 +79,10 @@ class EnvConfig:
             raise ValueError("observation dimensions must be positive")
         if self.max_episode_steps < 1:
             raise ValueError("max_episode_steps must be at least 1")
+        if len(self.probe_xy) != 2:
+            raise ValueError(f"probe_xy must be two values, got {self.probe_xy}")
+        if len(self.probe_rgb) != 3 or not all(0 <= c <= 255 for c in self.probe_rgb):
+            raise ValueError(f"probe_rgb must be three values in 0..255, got {self.probe_rgb}")
         if self.probe_tolerance < 0:
             raise ValueError("probe tolerance must be non-negative")
         if self.tick_rate <= 0:
@@ -270,62 +275,39 @@ def _parse_action(token: str) -> int | None:
 
 def _parse_lockstep(value: str) -> bool:
     if value.lower() not in ("true", "false"):
-        raise ValueError(f"lockstep must be true or false, got {value!r}")
+        raise ValueError(f"must be true or false, got {value!r}")
     return value.lower() == "true"
-
-
-def _join(values) -> str:
-    return ",".join(str(v) for v in values)
 
 
 def _ints(value: str) -> tuple[int, ...]:
     return tuple(int(t) for t in value.split(","))
 
 
-#: file key -> (EnvConfig field, index into that field or None, writer,
-#: reader), in the order save_env_config writes them; a None value
-#: (a full-screen crop) writes no line
+#: file key -> (EnvConfig field, index into that field or None, reader)
 _CONFIG_KEYS = {
-    "host": ("host", None, str, str),
-    "port": ("port", None, str, int),
-    "actions": (
-        "actions",
-        None,
-        lambda actions: ",".join("noop" if a is None else hex(a) for a in actions),
-        lambda value: tuple(_parse_action(t) for t in value.split(",")),
-    ),
-    "obs_width": ("obs_width", None, str, int),
-    "obs_height": ("obs_height", None, str, int),
-    "probe_x": ("probe_xy", 0, str, int),
-    "probe_y": ("probe_xy", 1, str, int),
-    "probe_rgb": ("probe_rgb", None, _join, _ints),
-    "probe_tolerance": ("probe_tolerance", None, str, int),
-    "reward_per_step": ("reward_per_step", None, repr, float),
-    "max_episode_steps": ("max_episode_steps", None, str, int),
-    "lockstep": ("lockstep", None, lambda flag: "true" if flag else "false", _parse_lockstep),
-    "tick_rate": ("tick_rate", None, repr, float),
-    "reset_keysym": ("reset_keysym", None, hex, lambda value: int(value, 0)),
-    "crop": ("crop", None, _join, _ints),
+    "host": ("host", None, str),
+    "port": ("port", None, int),
+    "actions": ("actions", None, lambda value: tuple(_parse_action(t) for t in value.split(","))),
+    "obs_width": ("obs_width", None, int),
+    "obs_height": ("obs_height", None, int),
+    "probe_x": ("probe_xy", 0, int),
+    "probe_y": ("probe_xy", 1, int),
+    "probe_rgb": ("probe_rgb", None, _ints),
+    "probe_tolerance": ("probe_tolerance", None, int),
+    "reward_per_step": ("reward_per_step", None, float),
+    "max_episode_steps": ("max_episode_steps", None, int),
+    "lockstep": ("lockstep", None, _parse_lockstep),
+    "tick_rate": ("tick_rate", None, float),
+    "reset_keysym": ("reset_keysym", None, lambda value: int(value, 0)),
+    "crop": ("crop", None, _ints),
 }
-
-
-def save_env_config(config: EnvConfig, path) -> None:
-    """Write a config as one `key = value` per line."""
-    lines = ["# environment configuration"]
-    for key, (field, index, write, _) in _CONFIG_KEYS.items():
-        value = getattr(config, field)
-        if index is not None:
-            value = value[index]
-        if value is not None:
-            lines.append(f"{key} = {write(value)}")
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
 
 
 def load_env_config(path) -> EnvConfig:
     """Parse a flat key=value config file; `#` starts a comment. A key
     left out keeps its EnvConfig default; so does the other half of
-    probe_x/probe_y."""
+    probe_x/probe_y. Each ValueError names the file, and the line and key
+    of a value that cannot be read."""
     kwargs = {}
     with open(path, "r", encoding="ascii") as handle:
         for line_no, raw in enumerate(handle, start=1):
@@ -337,11 +319,17 @@ def load_env_config(path) -> EnvConfig:
             key, _, value = (part.strip() for part in line.partition("="))
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
-            field, index, _, read = _CONFIG_KEYS[key]
-            parsed = read(value)
+            field, index, read = _CONFIG_KEYS[key]
+            try:
+                parsed = read(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {key}: {exc}") from exc
             if index is not None:
                 pair = list(kwargs.get(field, getattr(EnvConfig, field)))
                 pair[index] = parsed
                 parsed = tuple(pair)
             kwargs[field] = parsed
-    return EnvConfig(**kwargs)
+    try:
+        return EnvConfig(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -17,11 +17,11 @@ lockstep server: that client hands each write to a :class:`_ServerEnd` on
 its own thread and takes the replies back as bytes, and the connection
 only carries the handshake and the hang-up that frees the server.
 A side channel on a second port answers "HASH" with the FNV-1a hash of
-the frame last sent and the update count. A protocol violation or a peer
-stalled for STALL_TIMEOUT drops that client, counted in
-:attr:`MockServer.drops`. :meth:`MockServer.stop` shuts every socket
-down, which wakes every thread; no tick runs and no message is applied
-after it.
+the frame last sent and the update count. A protocol violation, a
+handshake not done within STALL_TIMEOUT or a peer stalled that long drops
+that client, counted in :attr:`MockServer.drops`. :meth:`MockServer.stop`
+shuts every socket down, which wakes every thread; no tick runs and no
+message is applied after it.
 """
 
 from __future__ import annotations
@@ -291,7 +291,6 @@ class MockServer:
         client in this process calls its :class:`_ServerEnd` instead, this
         thread parks until conn hangs up."""
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn.settimeout(STALL_TIMEOUT)
         end = self._handshake(conn)
         if end is not None:
             hangup = select.poll()  # POLLHUP and POLLERR are always reported
@@ -306,23 +305,25 @@ class MockServer:
                 conn.sendall(reply)
 
     def _handshake(self, conn: socket.socket) -> _ServerEnd | None:
-        """Run the server side of the 3.8 handshake and start the client on
-        a fresh frame; a refusal raises ProtocolError. Returns the end handed
-        to a client that entered its connection in ``_IN_PROCESS_CLIENTS``."""
+        """Run the server side of the 3.8 handshake within STALL_TIMEOUT
+        and start the client on a fresh frame; a refusal raises
+        ProtocolError. Returns the end handed to a client that entered its
+        connection in ``_IN_PROCESS_CLIENTS``."""
+        deadline = time.monotonic() + STALL_TIMEOUT
         conn.sendall(PROTOCOL_VERSION)
-        client_version = read_exact(conn, 12)
+        client_version = read_exact(conn, 12, deadline)
         if client_version != PROTOCOL_VERSION:
             reason = b"only RFB 3.8 is served"
             conn.sendall(struct.pack(">BI", 0, len(reason)) + reason)
             raise ProtocolError(f"refused client version {client_version!r}")
         conn.sendall(struct.pack(">BB", 1, 1))  # one security type: None
-        (chosen,) = read_exact(conn, 1)
+        (chosen,) = read_exact(conn, 1, deadline)
         if chosen != 1:
             reason = b"security type None required"
             conn.sendall(struct.pack(">II", 1, len(reason)) + reason)
             raise ProtocolError(f"refused security type {chosen}")
         conn.sendall(struct.pack(">I", 0))  # SecurityResult OK
-        read_exact(conn, 1)  # ClientInit; shared flag ignored, one client anyway
+        read_exact(conn, 1, deadline)  # ClientInit; shared flag ignored, one client anyway
         # the end is handed over before ServerInit goes out: the client
         # may write to it as soon as its handshake returns
         conn.settimeout(None)  # an idle client is kept; SO_SNDTIMEO bounds sends
@@ -346,21 +347,28 @@ class MockServer:
 
     def _replies(self, buffer: bytearray, chunk: bytes):
         """Append ``chunk`` to ``buffer`` and apply each complete client
-        message in it, yielding each reply; the rest stays in ``buffer``.
-        Never blocks, and applies nothing once the server is stopped."""
+        message in it, yielding each reply; the rest stays in ``buffer``,
+        whose applied bytes are deleted once. Never blocks, and applies
+        nothing once the server is stopped."""
         buffer.extend(chunk)
-        while buffer and not self._stop.is_set():
-            try:
-                if buffer[0] == MSG_CLIENT_CUT_TEXT:
-                    drop_cut_text(buffer)  # the game has no clipboard
-                    continue
-                message, consumed = decode_client_message(buffer)
-            except IncompleteMessageError:
-                return  # the rest of the message is still in flight
-            del buffer[:consumed]
-            reply = self._dispatch(message)
-            if reply is not None:
-                yield reply
+        offset = 0
+        try:
+            while offset < len(buffer) and not self._stop.is_set():
+                try:
+                    if buffer[offset] == MSG_CLIENT_CUT_TEXT:
+                        del buffer[:offset]
+                        offset = 0
+                        drop_cut_text(buffer)  # the game has no clipboard
+                        continue
+                    message, consumed = decode_client_message(buffer, offset)
+                except IncompleteMessageError:
+                    return  # the rest of the message is still in flight
+                offset += consumed
+                reply = self._dispatch(message)
+                if reply is not None:
+                    yield reply
+        finally:
+            del buffer[:offset]
 
     def _dispatch(self, message) -> bytes | None:
         """Apply one client message and return its reply, if it has one;

@@ -1,20 +1,21 @@
 """Byte-exact codec for the RFB 3.8 subset this harness speaks.
 
-Covers the 3.8 handshake with security type None, the six standard
-client-to-server messages (ClientCutText is decoded only: the client
-never sends one), and server-to-client raw (encoding 0) framebuffer
-updates, Bell and ServerCutText; integers are big-endian. Each fixed
-layout is one :class:`struct.Struct` its encoder and decoder share, and
-messages are :mod:`fbenv.record` records. Decoders are pure functions
-over byte buffers that return the bytes consumed; a buffer that ends
-mid-message raises :class:`IncompleteMessageError`, retryable once more
-bytes have arrived.
+Covers the 3.8 handshake with security type None, the standard
+client-to-server messages and server-to-client raw (encoding 0)
+framebuffer updates and Bell; integers are big-endian. A cut text, either
+way, is dropped by :func:`drop_cut_text` as it arrives and never decoded.
+Each fixed layout is one :class:`struct.Struct` its encoder and decoder
+share, and messages are :mod:`fbenv.record` records. Decoders are pure
+functions over byte buffers that return the bytes consumed; a buffer that
+ends mid-message raises :class:`IncompleteMessageError`, retryable once
+more bytes have arrived. Handshake reads share one deadline.
 """
 
 from __future__ import annotations
 
 import re
 import struct
+import time
 from dataclasses import dataclass, fields
 
 from .errors import (
@@ -190,14 +191,7 @@ class PointerEvent:
     y: int
 
 
-@record
-class ClientCutText:
-    text: str
-
-
-ClientMessage = (
-    SetPixelFormat | SetEncodings | FramebufferUpdateRequest | KeyEvent | PointerEvent | ClientCutText
-)
+ClientMessage = SetPixelFormat | SetEncodings | FramebufferUpdateRequest | KeyEvent | PointerEvent
 
 
 @record
@@ -210,12 +204,7 @@ class Bell:
     pass
 
 
-@record
-class ServerCutText:
-    text: str
-
-
-ServerMessage = FramebufferUpdate | Bell | ServerCutText
+ServerMessage = FramebufferUpdate | Bell
 
 
 @dataclass(frozen=True)
@@ -268,31 +257,28 @@ def _need(data, count: int) -> None:
         raise IncompleteMessageError(f"need {count} bytes, have {len(data)}")
 
 
-def decode_client_message(data) -> tuple[ClientMessage, int]:
-    """Parse one client message from the front of ``data``; returns the
-    message and the number of bytes consumed."""
-    _need(data, 1)
-    msg_type = data[0]
+def decode_client_message(data, offset: int = 0) -> tuple[ClientMessage, int]:
+    """Parse one client message at ``offset`` in ``data``; returns the
+    message and the number of bytes it spans."""
+    _need(data, offset + 1)
+    msg_type = data[offset]
     if msg_type == MSG_SET_PIXEL_FORMAT:
-        _, packed = _unpack(_SET_PIXEL_FORMAT, data)
+        _, packed = _unpack(_SET_PIXEL_FORMAT, data, offset)
         return SetPixelFormat(PixelFormat.unpack(packed)), _SET_PIXEL_FORMAT.size
     if msg_type == MSG_SET_ENCODINGS:
-        _, count = _unpack(_COUNTED_HEAD, data)
-        end = _COUNTED_HEAD.size + 4 * count
-        _need(data, end)
-        return SetEncodings(struct.unpack_from(f">{count}i", data, _COUNTED_HEAD.size)), end
+        _, count = _unpack(_COUNTED_HEAD, data, offset)
+        size = _COUNTED_HEAD.size + 4 * count
+        _need(data, offset + size)
+        return SetEncodings(struct.unpack_from(f">{count}i", data, offset + _COUNTED_HEAD.size)), size
     if msg_type == MSG_FRAMEBUFFER_UPDATE_REQUEST:
-        _, incremental, x, y, w, h = _unpack(_UPDATE_REQUEST, data)
+        _, incremental, x, y, w, h = _unpack(_UPDATE_REQUEST, data, offset)
         return FramebufferUpdateRequest(bool(incremental), Rectangle(x, y, w, h)), _UPDATE_REQUEST.size
     if msg_type == MSG_KEY_EVENT:
-        _, down, keysym = _unpack(_KEY_EVENT, data)
+        _, down, keysym = _unpack(_KEY_EVENT, data, offset)
         return KeyEvent(bool(down), keysym), _KEY_EVENT.size
     if msg_type == MSG_POINTER_EVENT:
-        _, mask, x, y = _unpack(_POINTER_EVENT, data)
+        _, mask, x, y = _unpack(_POINTER_EVENT, data, offset)
         return PointerEvent(mask, x, y), _POINTER_EVENT.size
-    if msg_type == MSG_CLIENT_CUT_TEXT:
-        text, consumed = _decode_cut_text(data)
-        return ClientCutText(text), consumed
     raise ProtocolError(f"unknown client message type {msg_type}")
 
 
@@ -318,13 +304,6 @@ def drop_cut_text(buffer: bytearray) -> None:
         del buffer[_CUT_TEXT_HEAD.size :]
         raise IncompleteMessageError(f"{rest} bytes of cut text still to drop")
     del buffer[:end]
-
-
-def _decode_cut_text(data) -> tuple[str, int]:
-    """The Latin-1 text of a cut-text message and the bytes it spans."""
-    end = cut_text_span(data)
-    _need(data, end)
-    return bytes(data[_CUT_TEXT_HEAD.size : end]).decode("latin-1"), end
 
 
 def encode_framebuffer_update(rectangles) -> bytes:
@@ -379,17 +358,20 @@ def decode_server_message(data, fmt: PixelFormat, screen: tuple[int, int]) -> tu
         )
     if msg_type == MSG_BELL:
         return Bell(), 1
-    if msg_type == MSG_SERVER_CUT_TEXT:
-        text, consumed = _decode_cut_text(data)
-        return ServerCutText(text), consumed
     raise ProtocolError(f"unknown server message type {msg_type}")
 
 
-def read_exact(sock, count: int) -> bytes:
-    """Read exactly ``count`` bytes from a socket-like object."""
+def read_exact(sock, count: int, deadline: float) -> bytes:
+    """Read exactly ``count`` bytes from a socket-like object by
+    ``deadline`` (on the ``time.monotonic`` clock): each receive waits only
+    for the time left, and TimeoutError is raised once none is."""
     chunks = []
     remaining = count
     while remaining > 0:
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError(f"{remaining} of {count} bytes still to come at the deadline")
+        sock.settimeout(left)
         chunk = sock.recv(remaining)
         if not chunk:
             raise ConnectionLostError("peer closed the connection")
@@ -398,13 +380,14 @@ def read_exact(sock, count: int) -> bytes:
     return b"".join(chunks)
 
 
-def perform_handshake(sock) -> ServerInit:
+def perform_handshake(sock, deadline: float) -> ServerInit:
     """Run the client side of the RFB 3.8 handshake over ``sock`` (security
-    None, shared access) and return the parsed ServerInit. A screen over
-    ``MAX_SCREEN_PIXELS`` or a text over ``MAX_CUT_TEXT_LENGTH`` raises
-    :class:`ProtocolError` before any of its bytes are read.
+    None, shared access) by ``deadline``, as :func:`read_exact` takes it,
+    and return the parsed ServerInit. A screen over ``MAX_SCREEN_PIXELS``
+    or a text over ``MAX_CUT_TEXT_LENGTH`` raises :class:`ProtocolError`
+    before any of its bytes are read.
     """
-    greeting = read_exact(sock, 12)
+    greeting = read_exact(sock, 12, deadline)
     match = _VERSION_RE.match(greeting)
     if match is None:
         raise ProtocolError(f"malformed version greeting {greeting!r}")
@@ -413,36 +396,36 @@ def perform_handshake(sock) -> ServerInit:
         raise UnsupportedVersionError(f"server speaks RFB {major}.{minor}, need 3.8")
     sock.sendall(PROTOCOL_VERSION)
 
-    (n_security,) = read_exact(sock, 1)
+    (n_security,) = read_exact(sock, 1, deadline)
     if n_security == 0:
-        raise HandshakeRefusedError(_read_text(sock, "refusal reason"))
-    security_types = read_exact(sock, n_security)
+        raise HandshakeRefusedError(_read_text(sock, "refusal reason", deadline))
+    security_types = read_exact(sock, n_security, deadline)
     if SECURITY_NONE not in security_types:
         raise UnsupportedSecurityError(
             f"server offers security types {list(security_types)}, need None (1)"
         )
     sock.sendall(struct.pack(">B", SECURITY_NONE))
 
-    (result,) = struct.unpack(">I", read_exact(sock, 4))
+    (result,) = struct.unpack(">I", read_exact(sock, 4, deadline))
     if result != 0:
-        raise HandshakeRefusedError(_read_text(sock, "refusal reason"))
+        raise HandshakeRefusedError(_read_text(sock, "refusal reason", deadline))
 
     sock.sendall(struct.pack(">B", 1))  # ClientInit, shared access
 
-    width, height = struct.unpack(">HH", read_exact(sock, 4))
+    width, height = struct.unpack(">HH", read_exact(sock, 4, deadline))
     if width * height > MAX_SCREEN_PIXELS:
         raise ProtocolError(f"screen {width}x{height} exceeds {MAX_SCREEN_PIXELS} pixels")
-    fmt = PixelFormat.unpack(read_exact(sock, 16))
-    name = _read_text(sock, "desktop name")
+    fmt = PixelFormat.unpack(read_exact(sock, 16, deadline))
+    name = _read_text(sock, "desktop name", deadline)
     try:
         return ServerInit(width, height, fmt, name)
     except ValueError as exc:
         raise ProtocolError(str(exc)) from exc
 
 
-def _read_text(sock, what: str) -> str:
+def _read_text(sock, what: str, deadline: float) -> str:
     """A length-prefixed Latin-1 text, capped at MAX_CUT_TEXT_LENGTH."""
-    (length,) = struct.unpack(">I", read_exact(sock, 4))
+    (length,) = struct.unpack(">I", read_exact(sock, 4, deadline))
     if length > MAX_CUT_TEXT_LENGTH:
         raise ProtocolError(f"{what} of {length} bytes exceeds {MAX_CUT_TEXT_LENGTH}")
-    return read_exact(sock, length).decode("latin-1")
+    return read_exact(sock, length, deadline).decode("latin-1")

@@ -212,11 +212,6 @@ def encode_bell() -> bytes:
     return b"\x02"
 
 
-def encode_server_cut_text(text: str) -> bytes:
-    payload = text.encode("latin-1")
-    return struct.pack(">B3xI", 3, len(payload)) + payload
-
-
 def encode_client_cut_text(text: str) -> bytes:
     payload = text.encode("latin-1")
     return struct.pack(">B3xI", 6, len(payload)) + payload

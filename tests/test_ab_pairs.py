@@ -1,6 +1,6 @@
 """The summary of tools/ab_pairs.py: quartiles, pair ratios, wins and
-the gain and bound rules, on hand-made pairs; and a comparison that
-outlives one hung run."""
+the gain, bound and unresolved rules, on hand-made pairs; and a
+comparison that outlives one hung run."""
 
 import importlib.util
 import json
@@ -99,3 +99,24 @@ def test_a_run_past_its_timeout_is_recorded_and_the_comparison_goes_on(tmp_path,
     assert document["runs"][2]["change"]["exit_code"] == 0
     assert not document["summary"]["all_correct"]
     assert document["summary"]["metrics"]["ops_per_s"]["change_wins"] == 0
+
+
+def test_a_metric_spread_wider_than_its_bound_is_unresolved():
+    # tight on both sides: resolved, whichever way it moved
+    tight = [run(100.0 + i % 2, 50.0) for i in range(10)]
+    summary = ab_pairs.summarize(pairs(tight, [run(99.0 + i % 2, 50.0) for i in range(10)]), METRICS)
+    assert not summary["metrics"]["ops_per_s"]["unresolved"]
+    # the change's runs spread over (q3 - q1) / median = 0.5 > 0.25, and do not all win
+    wide = [run((50.0, 150.0)[i % 2], 50.0) for i in range(10)]
+    summary = ab_pairs.summarize(pairs(tight, wide), METRICS)
+    change = summary["metrics"]["ops_per_s"]["change"]
+    assert (change["q3"] - change["q1"]) / change["median"] > 0.25
+    assert summary["metrics"]["ops_per_s"]["unresolved"]
+    assert not summary["metrics"]["cpu_us_per_op"]["unresolved"]
+    # the parent's side is wide: unresolved too
+    assert ab_pairs.summarize(pairs(wide, tight), METRICS)["metrics"]["ops_per_s"]["unresolved"]
+    # a wide side whose every change run beats every parent run is resolved
+    faster = [run((200.0, 400.0)[i % 2], (20.0, 40.0)[i % 2]) for i in range(10)]
+    metrics = ab_pairs.summarize(pairs(tight, faster), METRICS)["metrics"]
+    assert not metrics["ops_per_s"]["unresolved"] and not metrics["cpu_us_per_op"]["unresolved"]
+    assert "unresolved False" in ab_pairs.format_summary("w", 1, ab_pairs.summarize(pairs(tight, faster), METRICS))

@@ -94,7 +94,7 @@ def test_criterion_1_protocol_conformance():
     server = start_server(lockstep=True, seed=1)
     try:
         with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
-            info = perform_handshake(sock)
+            info = perform_handshake(sock, time.monotonic() + 5.0)
             assert (info.width, info.height) == (160, 160)
     finally:
         server.stop()
@@ -103,7 +103,7 @@ def test_criterion_1_protocol_conformance():
         data = struct.pack(">BxH", 0, 1) + struct.pack(">HHHHi", 0, 0, 2, 1, 5)
         decode_server_message(data, RGBX32, (160, 160))
     with pytest.raises(UnsupportedSecurityError):
-        perform_handshake(ScriptedSocket(handshake_script(security_types=b"\x02")))
+        perform_handshake(ScriptedSocket(handshake_script(security_types=b"\x02")), time.monotonic() + 5.0)
 
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0

@@ -6,7 +6,6 @@ import pytest
 
 from fbenv.agent import QTable
 from fbenv.cli import main
-from fbenv.env import EnvConfig, save_env_config
 
 
 def test_usage_errors_exit_1(capsys):
@@ -130,7 +129,7 @@ def test_train_then_play_greedy(server_factory, tmp_path, capsys):
 def test_config_file_feeds_play(server_factory, tmp_path, capsys):
     server = server_factory(lockstep=True, seed=3)
     config_path = tmp_path / "env.cfg"
-    save_env_config(EnvConfig(max_episode_steps=4, lockstep=True), config_path)
+    config_path.write_text("max_episode_steps = 4\nlockstep = true\n")
     code = main(
         [
             "play",

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import re
 import signal
 import time
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fbenv.env
-from fbenv.env import Env, EnvConfig, Observation, Transition, load_env_config, make_env, save_env_config
+from fbenv.env import Env, EnvConfig, Observation, Transition, load_env_config, make_env
 from fbenv.errors import ConnectionLostError, InvalidStateError
 from fbenv.framebuffer import Framebuffer, GrayFrame, downsample, pixel_rgb, to_grayscale
 from fbenv.keys import KEY_LEFT, KEY_RIGHT, KEY_SPACE
@@ -57,6 +58,25 @@ def test_crop_and_observation_must_fit_the_screen(server_factory):
 def test_crop_must_contain_probe():
     with pytest.raises(ValueError):
         EnvConfig(crop=(50, 50, 20, 20), probe_xy=(5, 5))
+
+
+@pytest.mark.parametrize(
+    "probe, match",
+    [
+        ({"probe_rgb": (300, 0, 0)}, "probe_rgb must be three values in 0..255"),
+        ({"probe_rgb": (255, -1, 0)}, "probe_rgb must be three values in 0..255"),
+        ({"probe_rgb": (255, 0)}, "probe_rgb must be three values in 0..255"),
+        ({"probe_rgb": (255, 0, 0, 0)}, "probe_rgb must be three values in 0..255"),
+        ({"probe_xy": (5,)}, "probe_xy must be two values"),
+        ({"probe_xy": (5, 5, 5)}, "probe_xy must be two values"),
+    ],
+    ids=["red_over_255", "negative_green", "two_channels", "four_channels", "one_coordinate", "three_coordinates"],
+)
+def test_a_probe_that_cannot_match_is_refused_by_name(probe, match):
+    """A channel outside 0..255 never matches the terminal screen, and a
+    short colour checks only some channels: either would hide episode ends."""
+    with pytest.raises(ValueError, match=match):
+        EnvConfig(**probe)
 
 
 def test_unreachable_endpoint_raises():
@@ -501,8 +521,26 @@ def test_timed_steps_never_bunch_after_a_policy_stall(env_factory):
 # -- config files ------------------------------------------------------------
 
 
-def test_config_round_trip(tmp_path):
-    config = EnvConfig(
+def test_config_file_sets_every_field(tmp_path):
+    path = tmp_path / "env.cfg"
+    path.write_text(
+        "host = 10.0.0.1\n"
+        "port = 5901\n"
+        "actions = noop,0xff51,0xff53,0x20\n"
+        "crop = 10,20,100,120\n"
+        "obs_width = 8\n"
+        "obs_height = 8\n"
+        "probe_x = 15\n"
+        "probe_y = 25\n"
+        "probe_rgb = 10,20,30\n"
+        "probe_tolerance = 4\n"
+        "reward_per_step = 0.25\n"
+        "max_episode_steps = 77\n"
+        "lockstep = true\n"
+        "tick_rate = 60.0\n"
+        "reset_keysym = 0xff0d\n"
+    )
+    assert load_env_config(path) == EnvConfig(
         host="10.0.0.1",
         port=5901,
         actions=(None, KEY_LEFT, KEY_RIGHT, 0x20),
@@ -518,9 +556,6 @@ def test_config_round_trip(tmp_path):
         tick_rate=60.0,
         reset_keysym=0xFF0D,
     )
-    path = tmp_path / "env.cfg"
-    save_env_config(config, path)
-    assert load_env_config(path) == config
 
 
 def test_config_parses_comments_and_spacing(tmp_path):
@@ -542,8 +577,7 @@ def test_config_parses_comments_and_spacing(tmp_path):
 
 def test_config_default_text_is_pinned(tmp_path):
     path = tmp_path / "env.cfg"
-    save_env_config(EnvConfig(), path)
-    assert path.read_text() == (
+    path.write_text(
         "# environment configuration\n"
         "host = 127.0.0.1\n"
         "port = 5900\n"
@@ -559,8 +593,22 @@ def test_config_default_text_is_pinned(tmp_path):
         "lockstep = false\n"
         "tick_rate = 30.0\n"
         "reset_keysym = 0x20\n"
-    )  # crop=None writes no crop line
+    )  # no crop line: crop=None captures the full screen
     assert load_env_config(path) == EnvConfig()
+
+
+def test_config_names_the_file_line_and_key_of_a_value_it_cannot_read(tmp_path):
+    path = tmp_path / "env.cfg"
+    path.write_text("# ports\nport = abc\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: port: invalid literal"):
+        load_env_config(path)
+
+
+def test_config_names_the_file_of_a_config_env_config_refuses(tmp_path):
+    path = tmp_path / "env.cfg"
+    path.write_text("probe_rgb = 300,0,0\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: probe_rgb must be three values"):
+        load_env_config(path)
 
 
 def test_config_rejects_unknown_key(tmp_path):

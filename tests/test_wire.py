@@ -1,6 +1,7 @@
 """Codec unit tests: frozen byte layouts, round trips, handshake transcripts."""
 
 import struct
+import time
 import tracemalloc
 
 import pytest
@@ -21,14 +22,12 @@ from fbenv.wire import (
     MAX_UPDATE_SCREENS,
     RGBX32,
     Bell,
-    ClientCutText,
     FramebufferUpdate,
     FramebufferUpdateRequest,
     KeyEvent,
     PixelFormat,
     PointerEvent,
     Rectangle,
-    ServerCutText,
     SetEncodings,
     SetPixelFormat,
     decode_client_message,
@@ -43,7 +42,6 @@ from helpers import (
     ScriptedSocket,
     encode_bell,
     encode_client_cut_text,
-    encode_server_cut_text,
     handshake_script,
     reference_parse_client_message,
 )
@@ -161,6 +159,10 @@ def test_client_message_round_trip(message):
     decoded, consumed = decode_client_message(encoded)
     assert consumed == len(encoded)
     assert decoded == message
+    prefixed = b"\xff" * 3 + encoded  # decoded at an offset, the bytes before it unread
+    assert decode_client_message(prefixed, 3) == (message, len(encoded))
+    with pytest.raises(IncompleteMessageError):
+        decode_client_message(prefixed[:-1], 3)
 
 
 @settings(max_examples=200, deadline=None)
@@ -211,10 +213,8 @@ _RECORDS = [
     FramebufferUpdateRequest(True, Rectangle(0, 0, 160, 160)),
     KeyEvent(True, 0xFF51),
     PointerEvent(1, 2, 3),
-    ClientCutText("a"),
     FramebufferUpdate(((Rectangle(0, 0, 1, 1), b"\x01" * 4),)),
     Bell(),
-    ServerCutText("a"),
 ]
 
 
@@ -238,11 +238,9 @@ def test_message_records_are_immutable_truthy_and_equal_only_per_type(message):
 
 
 def test_records_with_equal_fields_differ_across_types():
-    assert ClientCutText("a") != ServerCutText("a")
-    assert ServerCutText("a") != ClientCutText("a")
     assert FramebufferUpdate(()) != SetEncodings(())
     assert SetEncodings(()) != FramebufferUpdate(())
-    assert len({ClientCutText("a"), ServerCutText("a"), ClientCutText("a")}) == 2
+    assert len({FramebufferUpdate(()), SetEncodings(()), FramebufferUpdate(())}) == 2
 
 
 def test_rectangle_rejects_a_negative_size():
@@ -361,15 +359,6 @@ def test_decode_rejects_unknown_type():
         decode_server_message(b"\x77", RGBX32, SCREEN)
 
 
-def test_decode_cut_text():
-    message, consumed = decode_server_message(encode_server_cut_text("hi"), RGBX32, SCREEN)
-    assert message == ServerCutText("hi")
-    assert consumed == 10
-    message, consumed = decode_client_message(encode_client_cut_text("héllo") + b"\x04")
-    assert message == ClientCutText("héllo")
-    assert consumed == 13
-
-
 def test_drop_cut_text_deletes_a_text_as_it_arrives():
     message = encode_client_cut_text("copied text") + b"\x04"
     buffer = bytearray(message[:5])
@@ -388,53 +377,29 @@ def test_drop_cut_text_deletes_a_text_as_it_arrives():
 
 
 def test_decode_rejects_cut_text_over_the_cap_before_its_bytes():
-    decoders = (
-        (3, lambda data: decode_server_message(data, RGBX32, SCREEN)),  # ServerCutText
-        (6, decode_client_message),  # ClientCutText
-    )
-    for msg_type, decode in decoders:
-        header = struct.pack(">B3xI", msg_type, MAX_CUT_TEXT_LENGTH + 1)
-        with pytest.raises(ProtocolError):
-            decode(header)
-        with pytest.raises(ProtocolError):
-            decode(struct.pack(">B3xI", msg_type, 0xFFFFFFFF))
-        at_cap = struct.pack(">B3xI", msg_type, MAX_CUT_TEXT_LENGTH)
+    """A cut text is dropped before decoding, so neither decoder takes one,
+    and drop_cut_text caps both (ServerCutText is type 3, ClientCutText
+    type 6) before any of their bytes are awaited."""
+    with pytest.raises(ProtocolError, match="type 3"):
+        decode_server_message(struct.pack(">B3xI", 3, MAX_CUT_TEXT_LENGTH + 1), RGBX32, SCREEN)
+    with pytest.raises(ProtocolError, match="type 6"):
+        decode_client_message(struct.pack(">B3xI", 6, MAX_CUT_TEXT_LENGTH + 1))
+    for msg_type in (3, 6):
+        for length in (MAX_CUT_TEXT_LENGTH + 1, 0xFFFFFFFF):
+            header = bytearray(struct.pack(">B3xI", msg_type, length))
+            with pytest.raises(ProtocolError):
+                drop_cut_text(header)
+            assert len(header) == 8  # nothing deleted
+        buffer = bytearray(struct.pack(">B3xI", msg_type, MAX_CUT_TEXT_LENGTH))
         with pytest.raises(IncompleteMessageError):
-            decode(at_cap)
+            drop_cut_text(buffer)
+        buffer += bytes(MAX_CUT_TEXT_LENGTH - 1)
         with pytest.raises(IncompleteMessageError):
-            decode(at_cap + bytes(MAX_CUT_TEXT_LENGTH - 1))
-        message, consumed = decode(at_cap + bytes(MAX_CUT_TEXT_LENGTH))
-        assert consumed == 8 + MAX_CUT_TEXT_LENGTH
-        assert len(message.text) == MAX_CUT_TEXT_LENGTH
-
-
-def test_decode_caps_the_pixel_bytes_one_update_declares():
-    full_screen = struct.pack(">HHHHi", 0, 0, *SCREEN, 0) + bytes(SCREEN[0] * SCREEN[1] * 4)
-    one_pixel = struct.pack(">HHHHi", 0, 0, 1, 1, 0)
-    at_cap = full_screen * MAX_UPDATE_SCREENS
-    message, consumed = decode_server_message(
-        struct.pack(">BxH", 0, MAX_UPDATE_SCREENS) + at_cap, RGBX32, SCREEN
-    )
-    assert consumed == 4 + len(at_cap)
-    assert len(message.rectangles) == MAX_UPDATE_SCREENS
-    # one more pixel is refused from its header, before its 4 bytes arrive
-    with pytest.raises(ProtocolError):
-        decode_server_message(
-            struct.pack(">BxH", 0, MAX_UPDATE_SCREENS + 1) + at_cap + one_pixel, RGBX32, SCREEN
-        )
-
-
-def test_server_update_encode_decode_round_trip():
-    rect = Rectangle(3, 4, 2, 2)
-    payload = bytes(range(2 * 2 * 4))
-    encoded = encode_framebuffer_update([(rect, payload)])
-    message, consumed = decode_server_message(encoded, RGBX32, SCREEN)
-    assert consumed == len(encoded)
-    assert message.rectangles == ((rect, payload),)
-    assert decode_server_message(encode_bell(), RGBX32, SCREEN)[0] == Bell()
-
-
-# -- decoder fuzzing ---------------------------------------------------------
+            drop_cut_text(buffer)
+        assert buffer == struct.pack(">B3xI", msg_type, 1)
+        buffer += b"\x00\x02"
+        drop_cut_text(buffer)
+        assert buffer == b"\x02"
 
 
 def _fuzz_bytes(message_types):
@@ -467,7 +432,7 @@ def _decode_or_typed_error(decode, data):
 @given(st.sampled_from(_TRUE_COLOR_FORMATS), _fuzz_bytes([0, 1, 2, 3]))
 def test_decode_server_message_fuzz(fmt, data):
     message = _decode_or_typed_error(lambda buf: decode_server_message(buf, fmt, SCREEN), data)
-    assert message is None or isinstance(message, (FramebufferUpdate, Bell, ServerCutText))
+    assert message is None or isinstance(message, (FramebufferUpdate, Bell))
 
 
 @settings(max_examples=400, deadline=None)
@@ -476,7 +441,7 @@ def test_decode_client_message_fuzz(data):
     message = _decode_or_typed_error(decode_client_message, data)
     assert message is None or isinstance(
         message,
-        (SetPixelFormat, SetEncodings, FramebufferUpdateRequest, KeyEvent, PointerEvent, ClientCutText),
+        (SetPixelFormat, SetEncodings, FramebufferUpdateRequest, KeyEvent, PointerEvent),
     )
 
 
@@ -485,7 +450,7 @@ def test_decode_client_message_fuzz(data):
 
 def test_handshake_scripted_transcript():
     sock = ScriptedSocket(handshake_script(width=160, height=160, name=b"multitask-lite"))
-    info = perform_handshake(sock)
+    info = perform_handshake(sock, time.monotonic() + 5.0)
     assert (info.width, info.height) == (160, 160)
     assert info.name == "multitask-lite"
     assert info.native_format == RGBX32
@@ -496,39 +461,39 @@ def test_handshake_scripted_transcript():
 def test_handshake_rejects_old_version():
     sock = ScriptedSocket(handshake_script(greeting=b"RFB 003.003\n"))
     with pytest.raises(UnsupportedVersionError):
-        perform_handshake(sock)
+        perform_handshake(sock, time.monotonic() + 5.0)
 
 
 def test_handshake_rejects_version_3_7():
     sock = ScriptedSocket(handshake_script(greeting=b"RFB 003.007\n"))
     with pytest.raises(UnsupportedVersionError):
-        perform_handshake(sock)
+        perform_handshake(sock, time.monotonic() + 5.0)
 
 
 def test_handshake_rejects_vnc_auth_only():
     sock = ScriptedSocket(handshake_script(security_types=b"\x02"))
     with pytest.raises(UnsupportedSecurityError):
-        perform_handshake(sock)
+        perform_handshake(sock, time.monotonic() + 5.0)
 
 
 def test_handshake_refusal_carries_reason():
     sock = ScriptedSocket(handshake_script(security_types=b"", reason=b"too busy"))
     with pytest.raises(HandshakeRefusedError) as excinfo:
-        perform_handshake(sock)
+        perform_handshake(sock, time.monotonic() + 5.0)
     assert excinfo.value.reason == "too busy"
 
 
 def test_handshake_security_failure_carries_reason():
     sock = ScriptedSocket(handshake_script(security_result=1, reason=b"nope"))
     with pytest.raises(HandshakeRefusedError) as excinfo:
-        perform_handshake(sock)
+        perform_handshake(sock, time.monotonic() + 5.0)
     assert excinfo.value.reason == "nope"
 
 
 def test_handshake_rejects_malformed_greeting():
     sock = ScriptedSocket(handshake_script(greeting=b"HTTP/1.1 200\n"))
     with pytest.raises(ProtocolError):
-        perform_handshake(sock)
+        perform_handshake(sock, time.monotonic() + 5.0)
 
 
 def _declared_length(script: bytes, length: int, unread: bytes) -> bytes:
@@ -541,10 +506,11 @@ def test_handshake_caps_the_declared_name_length():
     unread = b"first name bytes"
     sock = ScriptedSocket(_declared_length(handshake_script(name=b""), 0xFFFFFFFF, unread))
     with pytest.raises(ProtocolError):
-        perform_handshake(sock)
+        perform_handshake(sock, time.monotonic() + 5.0)
     assert sock.recv(64) == unread  # raised before reading any of the name
     at_cap = b"n" * MAX_CUT_TEXT_LENGTH
-    assert perform_handshake(ScriptedSocket(handshake_script(name=at_cap))).name == at_cap.decode()
+    info = perform_handshake(ScriptedSocket(handshake_script(name=at_cap)), time.monotonic() + 5.0)
+    assert info.name == at_cap.decode()
 
 
 @pytest.mark.parametrize("refusal", [{"security_types": b""}, {"security_result": 1}])
@@ -553,7 +519,7 @@ def test_handshake_caps_the_declared_refusal_reason(refusal):
     script = handshake_script(reason=b"", **refusal)
     sock = ScriptedSocket(_declared_length(script, MAX_CUT_TEXT_LENGTH + 1, unread))
     with pytest.raises(ProtocolError):
-        perform_handshake(sock)
+        perform_handshake(sock, time.monotonic() + 5.0)
     assert sock.recv(64) == unread
 
 
@@ -564,11 +530,12 @@ def test_handshake_refuses_an_oversized_screen_before_allocating_it():
     tracemalloc.start()
     try:
         with pytest.raises(ProtocolError):
-            perform_handshake(sock)
+            perform_handshake(sock, time.monotonic() + 5.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
     assert sock.recv(16) == RGBX32.pack()  # nothing after the size was read
-    info = perform_handshake(ScriptedSocket(handshake_script(width=4096, height=MAX_SCREEN_PIXELS // 4096)))
+    script = handshake_script(width=4096, height=MAX_SCREEN_PIXELS // 4096)
+    info = perform_handshake(ScriptedSocket(script), time.monotonic() + 5.0)
     assert info.width * info.height == MAX_SCREEN_PIXELS

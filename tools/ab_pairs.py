@@ -11,7 +11,9 @@ the change, so a drift in the host's speed falls on both sides alike.
 For each workload and end-to-end metric it prints both sides' medians and
 quartiles, the median of the per-pair change/parent ratios, and in how many
 pairs the change was better (ties count for neither side). A metric's
-direction and regression bound come from the parent's BENCHMARK.json.
+direction and regression bound come from the parent's BENCHMARK.json. A
+metric is unresolved when either side's runs spread wider than its bound,
+unless every change run beats every parent run.
 ``--out`` writes every run and the summary to a JSON file under
 ``sets["<workload>_seed_<seed>"]``, keeping the other sets already in it.
 """
@@ -66,7 +68,9 @@ def summarize(pairs: list[dict], metrics: dict) -> dict:
     the pairs and the medians differ by more than the parent's interquartile
     range; ``change_worse_by`` is the change median's worsening relative to
     the parent median (negative when it is better), ``within_bound`` compares
-    it with the bound.
+    it with the bound. ``unresolved`` holds when either side's (q3 - q1) /
+    median exceeds the bound and not every change run beats every parent
+    run: the runs are too spread to call the metric unchanged.
     """
     summary = {
         "pairs": len(pairs),
@@ -84,6 +88,8 @@ def summarize(pairs: list[dict], metrics: dict) -> dict:
         parent, change = _spread([a for a, _ in values]), _spread([b for _, b in values])
         worse_by = sign * (parent["median"] - change["median"]) / parent["median"]
         wins = sum(sign * (b - a) > 0 for a, b in values)
+        wide = any((side["q3"] - side["q1"]) / side["median"] > rule["bound"] for side in (parent, change))
+        all_beat = all(sign * (b - a) > 0 for a, _ in values for _, b in values)
         summary["metrics"][name] = {
             "parent": parent,
             "change": change,
@@ -93,6 +99,7 @@ def summarize(pairs: list[dict], metrics: dict) -> dict:
             and abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"],
             "change_worse_by": worse_by,
             "within_bound": worse_by <= rule["bound"],
+            "unresolved": wide and not all_beat,
         }
     return summary
 
@@ -107,7 +114,7 @@ def format_summary(workload: str, seed: int, summary: dict) -> str:
             f"  {name:<16} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
             f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
             f"  ratio {m['median_of_pair_ratios']:.4f}  wins {m['change_wins']}/{summary['pairs']}"
-            f"  gain {m['gain']}  within bound {m['within_bound']}"
+            f"  gain {m['gain']}  within bound {m['within_bound']}  unresolved {m['unresolved']}"
         )
     return "\n".join(lines)
 
