@@ -20,6 +20,7 @@ from fbenv.keys import KEY_LEFT, KEY_RIGHT, KEY_SPACE
 from fbenv.wire import (
     ENCODING_RAW,
     MAX_CUT_TEXT_LENGTH,
+    MSG_CLIENT_CUT_TEXT,
     RGBX32,
     SetEncodings,
     SetPixelFormat,
@@ -252,7 +253,7 @@ def server_drops(data: bytes) -> bool:
     ClientCutText is skipped by its span alone, as the server drops it."""
     while data:
         try:
-            if data[0] == 6:
+            if data[0] == MSG_CLIENT_CUT_TEXT:
                 consumed = cut_text_span(data)
                 data = data[consumed:]
                 continue

@@ -402,6 +402,35 @@ def test_decode_rejects_cut_text_over_the_cap_before_its_bytes():
         assert buffer == b"\x02"
 
 
+def test_decode_caps_the_pixel_bytes_one_update_declares():
+    full_screen = struct.pack(">HHHHi", 0, 0, *SCREEN, 0) + bytes(SCREEN[0] * SCREEN[1] * 4)
+    one_pixel = struct.pack(">HHHHi", 0, 0, 1, 1, 0)
+    at_cap = full_screen * MAX_UPDATE_SCREENS
+    message, consumed = decode_server_message(
+        struct.pack(">BxH", 0, MAX_UPDATE_SCREENS) + at_cap, RGBX32, SCREEN
+    )
+    assert consumed == 4 + len(at_cap)
+    assert len(message.rectangles) == MAX_UPDATE_SCREENS
+    # one more pixel is refused from its header, before its 4 bytes arrive
+    with pytest.raises(ProtocolError):
+        decode_server_message(
+            struct.pack(">BxH", 0, MAX_UPDATE_SCREENS + 1) + at_cap + one_pixel, RGBX32, SCREEN
+        )
+
+
+def test_server_update_encode_decode_round_trip():
+    rect = Rectangle(3, 4, 2, 2)
+    payload = bytes(range(2 * 2 * 4))
+    encoded = encode_framebuffer_update([(rect, payload)])
+    message, consumed = decode_server_message(encoded, RGBX32, SCREEN)
+    assert consumed == len(encoded)
+    assert message.rectangles == ((rect, payload),)
+    assert decode_server_message(encode_bell(), RGBX32, SCREEN)[0] == Bell()
+
+
+# -- decoder fuzzing ---------------------------------------------------------
+
+
 def _fuzz_bytes(message_types):
     """Arbitrary bytes, half of them led by a known message type so the
     decoder gets past its first branch."""
